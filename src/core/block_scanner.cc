@@ -4,10 +4,19 @@
 #include <istream>
 #include <ostream>
 
+#include "core/executed_set.h"
 #include "metablocking/weighting.h"
 #include "util/serial.h"
 
 namespace pier {
+
+BlockScanner::BlockScanner(PrioritizerContext ctx,
+                           obs::MetricsRegistry* metrics)
+    : ctx_(ctx) {
+  if (metrics != nullptr) {
+    scan_skipped_ = metrics->GetCounter("pipeline.scan_skipped");
+  }
+}
 
 void BlockScanner::Rebuild() {
   order_.clear();
@@ -36,11 +45,25 @@ std::vector<Comparison> BlockScanner::NextBlock(WorkStats* stats) {
   std::vector<Comparison> out;
   const BlockCollection& blocks = *ctx_.blocks;
   const ProfileStore& profiles = *ctx_.profiles;
+  const ExecutedSet* executed = ctx_.executed;
+  uint64_t probes = 0;
+  uint64_t skipped = 0;
+  // Probes the executed set before weighting, so a pair compared on an
+  // earlier scan (or delivered from a delta) costs one lookup.
+  const auto offer = [&](ProfileId x, ProfileId y, uint32_t bsize) {
+    ++probes;
+    if (executed != nullptr && executed->Contains(x, y)) {
+      ++skipped;
+      return;
+    }
+    out.emplace_back(x, y, PairCbsWeight(profiles.Get(x), profiles.Get(y)),
+                     bsize);
+  };
 
   while (out.empty()) {
     if (order_.empty()) {
       Rebuild();
-      if (order_.empty()) return out;
+      if (order_.empty()) break;
     }
     const TokenId token = order_.back().second;
     order_.pop_back();
@@ -51,32 +74,24 @@ std::vector<Comparison> BlockScanner::NextBlock(WorkStats* stats) {
     if (bsize <= scanned_size_[token]) continue;  // stale order entry
     scanned_size_[token] = bsize;
 
-    out.reserve(static_cast<size_t>(b.NumComparisons(blocks.kind())));
     if (blocks.kind() == DatasetKind::kCleanClean) {
       for (const ProfileId x : b.members[0]) {
-        for (const ProfileId y : b.members[1]) {
-          out.emplace_back(x, y,
-                           PairCbsWeight(profiles.Get(x), profiles.Get(y)),
-                           bsize);
-        }
+        for (const ProfileId y : b.members[1]) offer(x, y, bsize);
       }
     } else {
       // Dirty: all pairs across both member lists (loaders may bucket
       // dirty records under either source label).
       for (size_t i = 0; i < bsize; ++i) {
         const ProfileId x = b.member(i);
-        for (size_t j = i + 1; j < bsize; ++j) {
-          const ProfileId y = b.member(j);
-          out.emplace_back(x, y,
-                           PairCbsWeight(profiles.Get(x), profiles.Get(y)),
-                           bsize);
-        }
+        for (size_t j = i + 1; j < bsize; ++j) offer(x, b.member(j), bsize);
       }
     }
   }
   if (stats != nullptr) {
     stats->comparisons_generated += out.size();
+    stats->index_ops += probes;
   }
+  obs::CounterAdd(scan_skipped_, skipped);
   return out;
 }
 

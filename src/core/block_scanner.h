@@ -8,9 +8,18 @@
 //
 // Incremental subtlety: blocks keep growing after they were scanned.
 // The scanner therefore remembers the size at which it scanned each
-// block and re-offers any block that has since gained members (the
-// pipeline's executed-comparison filter suppresses the pairs that were
-// already compared, so only the new pairs cost matcher time).
+// block and rescans any block that has since gained members. A rescan
+// probes the pipeline's executed-comparison set (PrioritizerContext::
+// executed) for each pair *before* weighting it and offers only the
+// pairs the set does not contain. So the invariant is:
+//   * the scanner never offers a pair the executed set contains at
+//     scan time, and
+//   * it re-offers every unexecuted pair of a grown block -- including
+//     pairs an earlier scan offered that a full bounded queue evicted
+//     before they were dequeued (their "second chance").
+// Already-compared pairs thus cost one probe, not a CBS intersection
+// and a trip through the prioritizer's queues. The dequeue-time check
+// (ExecutedSet::TestAndAdd) still catches pairs queued twice.
 
 #ifndef PIER_CORE_BLOCK_SCANNER_H_
 #define PIER_CORE_BLOCK_SCANNER_H_
@@ -21,18 +30,23 @@
 
 #include "core/prioritizer.h"
 #include "model/comparison.h"
+#include "obs/metrics.h"
 
 namespace pier {
 
 class BlockScanner {
  public:
-  explicit BlockScanner(PrioritizerContext ctx) : ctx_(ctx) {}
+  // `metrics`, when set, receives `pipeline.scan_skipped`: pairs the
+  // scanner dropped because they were already executed.
+  explicit BlockScanner(PrioritizerContext ctx,
+                        obs::MetricsRegistry* metrics = nullptr);
 
-  // Returns the comparisons of the next block due for (re)scanning
-  // (smallest first), weighted by CBS; empty when every active block
-  // has been scanned at its current size. Blocks that became active or
-  // grew after the current scan order was built are picked up by a
-  // rebuild once the order is exhausted.
+  // Returns the unexecuted comparisons of the next block due for
+  // (re)scanning (smallest first), weighted by CBS; empty when every
+  // active block has been scanned at its current size. Blocks that
+  // became active or grew after the current scan order was built are
+  // picked up by a rebuild once the order is exhausted. Charges one
+  // `index_ops` per executed-set probe.
   std::vector<Comparison> NextBlock(WorkStats* stats);
 
   // True when the last rebuild found no block due for scanning.
@@ -54,6 +68,7 @@ class BlockScanner {
   void Rebuild();
 
   PrioritizerContext ctx_;
+  obs::Counter* scan_skipped_ = nullptr;
   // Per token: the block size when last scanned (0 = never scanned).
   std::vector<uint32_t> scanned_size_;
   // (size, token) of blocks due for scanning, sorted descending so the

@@ -1,0 +1,80 @@
+// The pipeline's executed-comparison set: every pair the pipeline has
+// already handed to the matcher. It is consulted twice per pair:
+//
+//   * at scan time, read-only (Contains): the block scanner skips a
+//     pair the set already holds before weighting it, so re-offering a
+//     grown block costs one probe per old pair instead of a CBS
+//     intersection plus a trip through the prioritizer queues;
+//   * at dequeue time (TestAndAdd), which marks the pair executed and
+//     suppresses pairs queued twice or generated again by a later
+//     increment's delta.
+//
+// One of three representations backs it, fixed at construction:
+//   * an exact hash set (the `exact_executed_filter` ablation: never
+//     drops a pair, grows without bound);
+//   * a scalable Bloom filter (append-only streams: bounded-error,
+//     small footprint);
+//   * a scalable 2-bit counting Bloom filter (mutable streams, so keys
+//     can be withdrawn again).
+// Mutable streams additionally keep a PairRegistry -- for the exact
+// set too -- recording each inserted pair under both endpoints, so
+// Retract(id) can find the keys to withdraw.
+
+#ifndef PIER_CORE_EXECUTED_SET_H_
+#define PIER_CORE_EXECUTED_SET_H_
+
+#include <cstddef>
+#include <cstdint>
+#include <iosfwd>
+#include <unordered_set>
+
+#include "model/pair_registry.h"
+#include "model/types.h"
+#include "util/counting_bloom_filter.h"
+#include "util/scalable_bloom_filter.h"
+
+namespace pier {
+
+class ExecutedSet {
+ public:
+  // `exact` selects the exact hash set; otherwise a Bloom filter,
+  // the counting variant when `mutable_stream` is set.
+  ExecutedSet(bool exact, bool mutable_stream);
+
+  // True if the pair was (possibly, for the Bloom variants) executed.
+  // Read-only: a false positive here is one TestAndAdd would also
+  // report, so skipping the pair never loses one the dequeue would
+  // have kept.
+  bool Contains(ProfileId x, ProfileId y) const;
+
+  // Returns true if the pair was (possibly) already executed;
+  // otherwise marks it executed and returns false.
+  bool TestAndAdd(ProfileId x, ProfileId y);
+
+  // Mutable streams: withdraws every executed pair with endpoint `id`,
+  // so a corrected profile's comparisons pass the set again. Returns
+  // the number of keys withdrawn.
+  size_t Retract(ProfileId id);
+
+  // Wire format: the sorted exact keys, or the active filter's own
+  // snapshot; then, for mutable streams, the registry.
+  void Snapshot(std::ostream& out) const;
+  bool Restore(std::istream& in);
+
+  // Heap footprint of the active representation plus the registry.
+  size_t ApproxMemoryBytes() const;
+
+ private:
+  enum class Mode : uint8_t { kExact, kBloom, kCounting };
+
+  Mode mode_ = Mode::kBloom;
+  bool mutable_stream_;
+  std::unordered_set<uint64_t> exact_;
+  ScalableBloomFilter bloom_;
+  ScalableCountingBloomFilter counting_;
+  PairRegistry registry_;
+};
+
+}  // namespace pier
+
+#endif  // PIER_CORE_EXECUTED_SET_H_

@@ -14,7 +14,7 @@ IPcs::IPcs(PrioritizerContext ctx, PrioritizerOptions options)
     : ctx_(ctx),
       options_(options),
       index_(options.cmp_index_capacity),
-      scanner_(ctx) {}
+      scanner_(ctx, options.metrics) {}
 
 WorkStats IPcs::UpdateCmpIndex(const std::vector<ProfileId>& delta) {
   WorkStats stats;

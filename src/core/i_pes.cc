@@ -16,7 +16,7 @@ IPes::IPes(PrioritizerContext ctx, PrioritizerOptions options)
       options_(options),
       entity_queue_(options.entity_queue_capacity),
       low_queue_(options.low_weight_queue_capacity),
-      scanner_(ctx) {}
+      scanner_(ctx, options.metrics) {}
 
 WorkStats IPes::UpdateCmpIndex(const std::vector<ProfileId>& delta) {
   WorkStats stats;

@@ -30,22 +30,19 @@
 
 #include <memory>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "blocking/block_collection.h"
+#include "core/executed_set.h"
 #include "core/find_k.h"
 #include "core/prioritizer.h"
 #include "model/comparison.h"
 #include "model/entity_profile.h"
-#include "model/pair_registry.h"
 #include "model/profile_store.h"
 #include "model/token_dictionary.h"
 #include "obs/metrics.h"
 #include "serve/cluster_index.h"
 #include "text/tokenizer.h"
-#include "util/counting_bloom_filter.h"
-#include "util/scalable_bloom_filter.h"
 
 namespace pier {
 
@@ -241,8 +238,6 @@ class PierPipeline {
                const std::string& prefix = "pier");
 
  private:
-  bool AlreadyExecuted(const Comparison& c);
-
   // Delete internals for one live profile (shared by Delete and the
   // retract half of Update): everything except the profile-store
   // tombstone, which Delete writes and Update replaces.
@@ -278,20 +273,13 @@ class PierPipeline {
   ProfileStore profiles_;
   BlockCollection blocks_;
   Tokenizer tokenizer_;
+  // Executed-comparison set: probed by the prioritizer's block scanner
+  // (through its context) and marked at dequeue by EmitBatch.
+  ExecutedSet executed_;
   std::unique_ptr<IncrementalPrioritizer> prioritizer_;
   AdaptiveK adaptive_k_;
 
   serve::ClusterIndex clusters_;
-  // Executed-comparison filter: exactly one of the three is active.
-  // Append-only streams use the scalable Bloom filter (or the exact
-  // set under the ablation knob); mutable streams swap the Bloom
-  // filter for its counting variant so deletes can withdraw keys, and
-  // additionally maintain the pair registry (for the exact set too:
-  // erasing keys needs the partner list either way).
-  ScalableBloomFilter executed_filter_;
-  ScalableCountingBloomFilter executed_counting_;
-  std::unordered_set<uint64_t> executed_exact_;
-  PairRegistry executed_pairs_;
   uint64_t comparisons_emitted_ = 0;
 };
 

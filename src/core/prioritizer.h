@@ -27,6 +27,8 @@
 
 namespace pier {
 
+class ExecutedSet;
+
 namespace obs {
 class MetricsRegistry;
 }  // namespace obs
@@ -77,9 +79,10 @@ struct PrioritizerOptions {
   size_t frontier_sample_budget = 32;
   size_t frontier_probes = 8;
 
-  // Optional observability sink for `frontier.*` strategy metrics
-  // (mirrored from PierOptions::metrics by the pipeline constructor;
-  // non-owning, never part of the fingerprint).
+  // Optional observability sink for `frontier.*` strategy metrics and
+  // the block scanner's `pipeline.scan_skipped` (mirrored from
+  // PierOptions::metrics by the pipeline constructor; non-owning, never
+  // part of the fingerprint).
   obs::MetricsRegistry* metrics = nullptr;
 
   // Mutable streams (deletes / corrections): strategies keep enough
@@ -95,6 +98,9 @@ struct PrioritizerOptions {
 struct PrioritizerContext {
   const BlockCollection* blocks = nullptr;
   const ProfileStore* profiles = nullptr;
+  // The pipeline's executed-comparison set, probed read-only by the
+  // block scanner. Null reads as the empty set (nothing executed yet).
+  const ExecutedSet* executed = nullptr;
 };
 
 class IncrementalPrioritizer {

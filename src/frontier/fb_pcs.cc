@@ -32,7 +32,7 @@ FbPcs::FbPcs(PrioritizerContext ctx, PrioritizerOptions options)
     : ctx_(ctx),
       options_(options),
       index_(options.cmp_index_capacity),
-      scanner_(ctx) {
+      scanner_(ctx, options.metrics) {
   if (options_.metrics != nullptr) {
     obs::MetricsRegistry& r = *options_.metrics;
     verdicts_metric_ = r.GetCounter("frontier.feedback_verdicts");

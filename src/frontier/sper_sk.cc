@@ -15,7 +15,7 @@ SperSk::SperSk(PrioritizerContext ctx, PrioritizerOptions options)
     : ctx_(ctx),
       options_(options),
       rng_(options.frontier_seed),
-      scanner_(ctx) {
+      scanner_(ctx, options.metrics) {
   frontier_.reserve(
       std::min<size_t>(options_.cmp_index_capacity, size_t{1} << 12));
   if (options_.metrics != nullptr) {
@@ -157,8 +157,8 @@ WorkStats SperSk::UpdateCmpIndex(const std::vector<ProfileId>& delta) {
   for (const ProfileId id : delta) SampleProfile(id, &stats);
 
   // Idle tick with a drained frontier: fall back to the block scanner
-  // so eventual quality matches the exact strategies (the executed
-  // filter suppresses re-emissions).
+  // so eventual quality matches the exact strategies (the scanner
+  // offers only pairs not yet executed).
   if (delta.empty() && frontier_.empty()) {
     for (const Comparison& c : scanner_.NextBlock(&stats)) {
       TournamentInsert(c, &stats);

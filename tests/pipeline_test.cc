@@ -7,6 +7,9 @@
 #include <gtest/gtest.h>
 
 #include "core/pier_pipeline.h"
+#include "datagen/generators.h"
+#include "obs/metrics.h"
+#include "persist/snapshot.h"
 
 namespace pier {
 namespace {
@@ -174,6 +177,84 @@ TEST(PipelineTest, EmitBatchUsesAdaptiveKByDefault) {
                    Raw(2, 0, "x beta")});
   EXPECT_EQ(pipeline.EmitBatch().size(), 1u);  // K = initial_k = 1
 }
+
+#ifndef PIER_OBS_DISABLED
+
+// Streams a small dbpedia-like dataset through I-PES with the exact
+// executed set, draining the pipeline after every increment (the
+// scanner then rescans every grown block), and returns its registry.
+void RunDrainingEveryIncrement(PierOptions options,
+                               obs::MetricsRegistry* registry) {
+  DbpediaOptions data;
+  data.source0_count = 240;
+  data.source1_count = 320;
+  data.seed = 7;
+  Dataset dataset = GenerateDbpedia(data);
+  options.kind = DatasetKind::kDirty;
+  options.metrics = registry;
+  PierPipeline pipeline(options);
+  const auto drain = [&] {
+    while (!pipeline.EmitBatch(256).empty()) {
+    }
+  };
+  for (const Increment& inc : SplitIntoIncrements(dataset, 40)) {
+    pipeline.Ingest(std::vector<EntityProfile>(
+        dataset.profiles.begin() + static_cast<ptrdiff_t>(inc.begin),
+        dataset.profiles.begin() + static_cast<ptrdiff_t>(inc.end)));
+    drain();
+  }
+  pipeline.NotifyStreamEnd();
+  drain();
+}
+
+TEST(PipelineTest, ScannerKeepsSuppressedShareUnderFivePercent) {
+  PierOptions options = SmallOptions(PierStrategy::kIPes);
+  options.exact_executed_filter = true;
+  obs::MetricsRegistry registry;
+  RunDrainingEveryIncrement(options, &registry);
+  const uint64_t emitted =
+      registry.GetCounter("pipeline.comparisons_emitted")->Value();
+  const uint64_t suppressed =
+      registry.GetCounter("pipeline.comparisons_suppressed")->Value();
+  ASSERT_GT(emitted, 0u);
+  // Rescans re-offer only unexecuted pairs, so nearly every dequeued
+  // pair reaches the matcher; the avoided waste shows as scan skips.
+  EXPECT_LT(static_cast<double>(suppressed) /
+                static_cast<double>(emitted + suppressed),
+            0.05);
+  EXPECT_GT(registry.GetCounter("pipeline.scan_skipped")->Value(), 0u);
+}
+
+TEST(PipelineTest, ExactFilterStateBytesGaugeGrowsWithExecutedPairs) {
+  PierOptions options = SmallOptions(PierStrategy::kIPcs);
+  options.exact_executed_filter = true;
+  obs::MetricsRegistry registry;
+  options.metrics = &registry;
+  PierPipeline pipeline(options);
+  const obs::Gauge* gauge = registry.GetGauge("persist.state_bytes.filter");
+  const auto snapshot_filter_bytes = [&] {
+    persist::SnapshotBuilder builder;
+    pipeline.Snapshot(builder);
+    return gauge->Value();
+  };
+  const double empty = snapshot_filter_bytes();
+  std::vector<EntityProfile> profiles;
+  for (ProfileId id = 0; id < 40; ++id) {
+    profiles.push_back(Raw(id, 0, "shared title"));
+  }
+  pipeline.Ingest(std::move(profiles));
+  size_t executed = 0;
+  for (auto batch = pipeline.EmitBatch(64); !batch.empty();
+       batch = pipeline.EmitBatch(64)) {
+    executed += batch.size();
+  }
+  ASSERT_EQ(executed, 40u * 39u / 2u);
+  // The exact set holds one node per executed pair.
+  EXPECT_GE(snapshot_filter_bytes(),
+            empty + static_cast<double>(executed * sizeof(uint64_t)));
+}
+
+#endif  // PIER_OBS_DISABLED
 
 }  // namespace
 }  // namespace pier

@@ -10,10 +10,12 @@
 #include <gtest/gtest.h>
 
 #include "core/block_scanner.h"
+#include "core/executed_set.h"
 #include "core/i_pbs.h"
 #include "core/i_pcs.h"
 #include "core/i_pes.h"
 #include "core/prioritizer.h"
+#include "obs/metrics.h"
 
 namespace pier {
 namespace {
@@ -342,6 +344,46 @@ TEST_F(IPesTest, PerEntityCapacityBoundsMemory) {
   for (const auto& c : emitted) EXPECT_TRUE(keys.insert(c.Key()).second);
 }
 
+TEST_F(IPesTest, RescanReoffersPairEvictedFromFullQueue) {
+  // Drives I-PES only through idle ticks, so every pair comes from the
+  // block scanner; dequeued pairs are marked executed as the pipeline
+  // marks them.
+  options_.per_entity_capacity = 1;
+  ExecutedSet executed(/*exact=*/true, /*mutable_stream=*/false);
+  PrioritizerContext ctx = Ctx();
+  ctx.executed = &executed;
+  IPes pes(ctx, options_);
+  const auto drain_executing = [&] {
+    std::set<uint64_t> keys;
+    for (const Comparison& c : Drain(pes)) {
+      if (!executed.TestAndAdd(c.x, c.y)) keys.insert(c.Key());
+    }
+    return keys;
+  };
+  // Block A = {0,1,2} (size 3) is scanned before block B = {0,2,3,4}.
+  // Its pairs arrive as (0,1) w1, (0,2) w2, (1,2) w1: (0,2) improves
+  // entity 0's best and pushes (0,1) out of its one-slot queue.
+  AddIncrement({{0, {0, 1}}, {0, {0}}, {0, {0, 1}}, {0, {1}}, {0, {1}}});
+  pes.UpdateCmpIndex({});
+  const std::set<uint64_t> first = drain_executing();
+  EXPECT_EQ(first, (std::set<uint64_t>{PairKey(0, 2), PairKey(1, 2)}));
+  // Block B, then nothing left to scan: (0,1) was never executed.
+  for (int tick = 0; tick < 4; ++tick) {
+    pes.UpdateCmpIndex({});
+    drain_executing();
+  }
+  EXPECT_FALSE(executed.Contains(0, 1));
+  // Block A grows by two members; its rescan offers the evicted pair
+  // again, next to the new ones, and none of the executed pairs.
+  AddIncrement({{0, {0}}, {0, {0}}});
+  pes.UpdateCmpIndex({});
+  const std::set<uint64_t> rescan = drain_executing();
+  EXPECT_EQ(rescan.count(PairKey(0, 1)), 1u);
+  EXPECT_EQ(rescan.count(PairKey(0, 2)), 0u);
+  EXPECT_EQ(rescan.count(PairKey(1, 2)), 0u);
+  EXPECT_EQ(rescan.size(), 1u + 2u * 3u + 1u);  // (0,1), 2 new x 3 old, (5,6)
+}
+
 TEST_F(IPesTest, DrainedEntitiesArePrunedFromIndex) {
   IPes pes(Ctx(), options_);
   pes.UpdateCmpIndex(
@@ -383,19 +425,53 @@ TEST_F(BlockScannerTest, PicksUpBlocksAddedAfterBuild) {
 }
 
 TEST_F(BlockScannerTest, ReoffersBlocksAfterSignificantGrowth) {
+  // Two scanners over the same blocks: one without an executed set, and
+  // one whose exact set holds the pair its first scan offered (the
+  // pipeline marks a pair executed when it dequeues it).
+  ExecutedSet executed(/*exact=*/true, /*mutable_stream=*/false);
+  PrioritizerContext aware_ctx = Ctx();
+  aware_ctx.executed = &executed;
   AddIncrement({{0, {0}}, {0, {0}}});
   BlockScanner scanner(Ctx());
+  BlockScanner aware(aware_ctx);
   WorkStats stats;
   EXPECT_EQ(scanner.NextBlock(&stats).size(), 1u);  // pair (0,1)
+  const auto first = aware.NextBlock(&stats);
+  ASSERT_EQ(first.size(), 1u);
+  EXPECT_FALSE(executed.TestAndAdd(first[0].x, first[0].y));
   EXPECT_TRUE(scanner.NextBlock(&stats).empty());
+  EXPECT_TRUE(aware.NextBlock(&stats).empty());
   // Two new members exceed the growth throttle: the rescan re-offers
-  // all C(4,2) pairs (the pipeline's executed filter drops the one
-  // already compared).
+  // all C(4,2) pairs when nothing was executed, and all but (0,1) when
+  // it was.
   AddIncrement({{0, {0}}, {0, {0}}});
-  const auto again = scanner.NextBlock(&stats);
-  EXPECT_EQ(again.size(), 6u);
-  EXPECT_TRUE(scanner.NextBlock(&stats).empty());
-  EXPECT_TRUE(scanner.Exhausted());
+  EXPECT_EQ(scanner.NextBlock(&stats).size(), 6u);
+  const auto again = aware.NextBlock(&stats);
+  EXPECT_EQ(again.size(), 5u);
+  for (const Comparison& c : again) EXPECT_NE(c.Key(), PairKey(0, 1));
+  for (BlockScanner* s : {&scanner, &aware}) {
+    EXPECT_TRUE(s->NextBlock(&stats).empty());
+    EXPECT_TRUE(s->Exhausted());
+  }
+}
+
+TEST_F(BlockScannerTest, SkipsExecutedPairsBeforeWeighting) {
+  ExecutedSet executed(/*exact=*/false, /*mutable_stream=*/false);
+  executed.TestAndAdd(0, 1);
+  PrioritizerContext ctx = Ctx();
+  ctx.executed = &executed;
+  obs::MetricsRegistry registry;
+  AddIncrement({{0, {0}}, {0, {0}}, {0, {0}}});
+  BlockScanner scanner(ctx, &registry);
+  WorkStats stats;
+  const auto offered = scanner.NextBlock(&stats);
+  EXPECT_EQ(offered.size(), 2u);  // (0,2) and (1,2)
+  EXPECT_EQ(stats.comparisons_generated, 2u);
+  // Every pair costs one probe, skipped or not.
+  EXPECT_EQ(stats.index_ops, 3u);
+#ifndef PIER_OBS_DISABLED
+  EXPECT_EQ(registry.GetCounter("pipeline.scan_skipped")->Value(), 1u);
+#endif
 }
 
 TEST_F(BlockScannerTest, ThrottleDefersSmallGrowthUntilStreamEnd) {
