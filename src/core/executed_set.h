@@ -1,5 +1,8 @@
-// The pipeline's executed-comparison set: every pair the pipeline has
-// already handed to the matcher. It is consulted twice per pair:
+// The executed-comparison set: every pair already handed to the
+// matcher. It backs both the pipeline (one per PierPipeline, so one
+// per shard engine) and the sharded combiner, which keeps its own to
+// drop a verdict a second shard delivers for the same pair (see
+// stream/sharded_pipeline.h). The pipeline consults it twice per pair:
 //
 //   * at scan time, read-only (Contains): the block scanner skips a
 //     pair the set already holds before weighting it, so re-offering a

@@ -100,41 +100,41 @@ PierPipeline::~PierPipeline() = default;
 
 WorkStats PierPipeline::Ingest(std::vector<EntityProfile> profiles) {
   const obs::ScopedTimer timer(metrics_.ingest_ns);
-  WorkStats stats;
-  std::vector<ProfileId> delta;
-  delta.reserve(profiles.size());
-  // Data Reading: scrub/tokenize; Incremental Blocking: extend the
-  // block collection. All of the increment is blocked before any of
-  // its comparisons are generated, so only_older_neighbors covers
-  // intra-increment pairs too.
   for (auto& profile : profiles) {
     tokenizer_.TokenizeProfile(profile, dictionary_);
-    stats.tokens += profile.tokens().size();
-    ++stats.profiles;
-    delta.push_back(profile.id);
-    stats.block_updates += blocks_.AddProfile(profile);
-    profiles_.Add(std::move(profile));
   }
-  stats += prioritizer_->UpdateCmpIndex(delta);
-  // Every ingested profile starts as a singleton cluster; the index
-  // grows here (publish-then-release) so queries for new ids are valid
-  // the moment Ingest returns.
-  if (options_.track_clusters) clusters_.TrackUpTo(profiles_.size());
-  obs::CounterAdd(metrics_.increments);
-  obs::CounterAdd(metrics_.profiles_ingested, stats.profiles);
-  obs::CounterAdd(metrics_.tokens_ingested, stats.tokens);
-  obs::CounterAdd(metrics_.block_updates, stats.block_updates);
-  return stats;
+  return WriteProfiles(std::move(profiles), /*replace=*/false);
 }
 
 WorkStats PierPipeline::IngestPretokenized(
     std::vector<PretokenizedProfile> items) {
   const obs::ScopedTimer timer(metrics_.ingest_ns);
-  WorkStats stats;
-  std::vector<ProfileId> delta;
-  delta.reserve(items.size());
-  for (auto& item : items) {
-    EntityProfile profile(item.id, item.source, {});
+  return WriteProfiles(InternPretokenized(std::move(items)),
+                       /*replace=*/false);
+}
+
+WorkStats PierPipeline::Update(std::vector<EntityProfile> profiles) {
+  PIER_CHECK(options_.mutable_stream);
+  const obs::ScopedTimer timer(metrics_.ingest_ns);
+  for (auto& profile : profiles) {
+    tokenizer_.TokenizeProfile(profile, dictionary_);
+  }
+  return WriteProfiles(std::move(profiles), /*replace=*/true);
+}
+
+WorkStats PierPipeline::UpdatePretokenized(
+    std::vector<PretokenizedProfile> items) {
+  PIER_CHECK(options_.mutable_stream);
+  const obs::ScopedTimer timer(metrics_.ingest_ns);
+  return WriteProfiles(InternPretokenized(std::move(items)),
+                       /*replace=*/true);
+}
+
+std::vector<EntityProfile> PierPipeline::InternPretokenized(
+    std::vector<PretokenizedProfile> items) {
+  std::vector<EntityProfile> profiles;
+  profiles.reserve(items.size());
+  for (const auto& item : items) {
     std::vector<TokenId> ids;
     ids.reserve(item.tokens.size());
     for (const auto& token : item.tokens) {
@@ -143,18 +143,54 @@ WorkStats PierPipeline::IngestPretokenized(
     std::sort(ids.begin(), ids.end());
     ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
     for (const TokenId id : ids) dictionary_.IncrementDocFrequency(id);
+    EntityProfile& profile = profiles.emplace_back(item.id, item.source,
+                                                   std::vector<Attribute>{});
     profile.set_tokens(std::move(ids));
+  }
+  return profiles;
+}
+
+WorkStats PierPipeline::WriteProfiles(std::vector<EntityProfile> profiles,
+                                      bool replace) {
+  WorkStats stats;
+  std::vector<ProfileId> delta;
+  delta.reserve(profiles.size());
+  // Incremental Blocking: extend the block collection. All of the
+  // increment is blocked before any of its comparisons are generated,
+  // so only_older_neighbors covers intra-increment pairs too.
+  for (auto& profile : profiles) {
+    const ProfileId id = profile.id;
+    if (replace) {
+      PIER_CHECK(id < profiles_.size());
+      if (profiles_.IsLive(id)) RetractProfile(id, &stats);
+    }
     stats.tokens += profile.tokens().size();
     ++stats.profiles;
-    delta.push_back(profile.id);
+    delta.push_back(id);
     stats.block_updates += blocks_.AddProfile(profile);
-    profiles_.Add(std::move(profile));
+    if (replace) {
+      profiles_.Replace(std::move(profile));
+      // The corrected profile re-enters as a singleton; its cluster
+      // re-forms from post-update verdicts over the rescheduled pairs.
+      if (options_.track_clusters) clusters_.ReviveAsSingleton(id);
+    } else {
+      profiles_.Add(std::move(profile));
+    }
   }
   stats += prioritizer_->UpdateCmpIndex(delta);
-  if (options_.track_clusters) clusters_.TrackUpTo(profiles_.size());
+  // Every ingested profile starts as a singleton cluster; the index
+  // grows here (publish-then-release) so queries for new ids are valid
+  // the moment Ingest returns.
+  if (!replace && options_.track_clusters) {
+    clusters_.TrackUpTo(profiles_.size());
+  }
   obs::CounterAdd(metrics_.increments);
-  obs::CounterAdd(metrics_.profiles_ingested, stats.profiles);
-  obs::CounterAdd(metrics_.tokens_ingested, stats.tokens);
+  if (replace) {
+    obs::CounterAdd(metrics_.profiles_updated, stats.profiles);
+  } else {
+    obs::CounterAdd(metrics_.profiles_ingested, stats.profiles);
+    obs::CounterAdd(metrics_.tokens_ingested, stats.tokens);
+  }
   obs::CounterAdd(metrics_.block_updates, stats.block_updates);
   return stats;
 }
@@ -189,68 +225,6 @@ WorkStats PierPipeline::Delete(const std::vector<ProfileId>& ids) {
   }
   obs::CounterAdd(metrics_.increments);
   obs::CounterAdd(metrics_.profiles_deleted, stats.profiles);
-  obs::CounterAdd(metrics_.block_updates, stats.block_updates);
-  return stats;
-}
-
-WorkStats PierPipeline::Update(std::vector<EntityProfile> profiles) {
-  PIER_CHECK(options_.mutable_stream);
-  const obs::ScopedTimer timer(metrics_.ingest_ns);
-  WorkStats stats;
-  std::vector<ProfileId> delta;
-  delta.reserve(profiles.size());
-  for (auto& profile : profiles) {
-    const ProfileId id = profile.id;
-    PIER_CHECK(id < profiles_.size());
-    if (profiles_.IsLive(id)) RetractProfile(id, &stats);
-    tokenizer_.TokenizeProfile(profile, dictionary_);
-    stats.tokens += profile.tokens().size();
-    ++stats.profiles;
-    delta.push_back(id);
-    stats.block_updates += blocks_.AddProfile(profile);
-    profiles_.Replace(std::move(profile));
-    // The corrected profile re-enters as a singleton; its cluster
-    // re-forms from post-update verdicts over the rescheduled pairs.
-    if (options_.track_clusters) clusters_.ReviveAsSingleton(id);
-  }
-  stats += prioritizer_->UpdateCmpIndex(delta);
-  obs::CounterAdd(metrics_.increments);
-  obs::CounterAdd(metrics_.profiles_updated, stats.profiles);
-  obs::CounterAdd(metrics_.block_updates, stats.block_updates);
-  return stats;
-}
-
-WorkStats PierPipeline::UpdatePretokenized(
-    std::vector<PretokenizedProfile> items) {
-  PIER_CHECK(options_.mutable_stream);
-  const obs::ScopedTimer timer(metrics_.ingest_ns);
-  WorkStats stats;
-  std::vector<ProfileId> delta;
-  delta.reserve(items.size());
-  for (auto& item : items) {
-    const ProfileId id = item.id;
-    PIER_CHECK(id < profiles_.size());
-    if (profiles_.IsLive(id)) RetractProfile(id, &stats);
-    EntityProfile profile(id, item.source, {});
-    std::vector<TokenId> ids;
-    ids.reserve(item.tokens.size());
-    for (const auto& token : item.tokens) {
-      ids.push_back(dictionary_.Intern(token));
-    }
-    std::sort(ids.begin(), ids.end());
-    ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
-    for (const TokenId tid : ids) dictionary_.IncrementDocFrequency(tid);
-    profile.set_tokens(std::move(ids));
-    stats.tokens += profile.tokens().size();
-    ++stats.profiles;
-    delta.push_back(id);
-    stats.block_updates += blocks_.AddProfile(profile);
-    profiles_.Replace(std::move(profile));
-    if (options_.track_clusters) clusters_.ReviveAsSingleton(id);
-  }
-  stats += prioritizer_->UpdateCmpIndex(delta);
-  obs::CounterAdd(metrics_.increments);
-  obs::CounterAdd(metrics_.profiles_updated, stats.profiles);
   obs::CounterAdd(metrics_.block_updates, stats.block_updates);
   return stats;
 }
@@ -326,10 +300,9 @@ void WriteOptionsFingerprint(std::ostream& out, const PierOptions& o) {
   serial::WriteU64(out, o.adaptive_k.window);
   serial::WriteF64(out, o.adaptive_k.target_utilization);
   serial::WriteF64(out, o.adaptive_k.gain);
-  // Shard identity, only when sharded: single-pipeline fingerprints
-  // stay byte-identical to format version 2, so older snapshots keep
-  // loading, while a shard section can never restore into a pipeline
-  // owning a different token slice.
+  // Shard identity, only when sharded (single-pipeline fingerprints
+  // keep the bytes they had before sharding existed): a shard section
+  // can never restore into a pipeline owning a different token slice.
   if (o.token_shard_count > 1) {
     serial::WriteU32(out, o.token_shard_count);
     serial::WriteU32(out, o.token_shard_index);
@@ -341,7 +314,7 @@ void WriteOptionsFingerprint(std::ostream& out, const PierOptions& o) {
   if (o.mutable_stream) serial::WriteBool(out, true);
   // Frontier knobs, only for the frontier strategies (they shape the
   // emitted comparison stream, so a snapshot can never restore into a
-  // differently-seeded run); pre-frontier snapshots keep loading.
+  // differently-seeded run).
   if (o.strategy == PierStrategy::kSperSk ||
       o.strategy == PierStrategy::kFbPcs) {
     serial::WriteU64(out, o.prioritizer.frontier_seed);
@@ -451,14 +424,10 @@ bool PierPipeline::Restore(const persist::SnapshotReader& reader,
     return false;
   }
 
-  // Absent in v1 snapshots: the cluster index starts empty and
-  // repopulates from post-resume match verdicts.
-  if (reader.Has(prefix + ".clusters")) {
-    if (!reader.Open(prefix + ".clusters", &section, error)) return false;
-    if (!clusters_.Restore(section)) {
-      decode_error("clusters");
-      return false;
-    }
+  if (!reader.Open(prefix + ".clusters", &section, error)) return false;
+  if (!clusters_.Restore(section)) {
+    decode_error("clusters");
+    return false;
   }
 
   comparisons_emitted_ = comparisons_emitted;

@@ -213,6 +213,7 @@ class PierPipeline {
   const BlockCollection& blocks() const { return blocks_; }
   const TokenDictionary& dictionary() const { return dictionary_; }
   const IncrementalPrioritizer& prioritizer() const { return *prioritizer_; }
+  const ExecutedSet& executed() const { return executed_; }
   AdaptiveK& adaptive_k() { return adaptive_k_; }
   uint64_t comparisons_emitted() const { return comparisons_emitted_; }
 
@@ -238,6 +239,18 @@ class PierPipeline {
                const std::string& prefix = "pier");
 
  private:
+  // The one write path behind Ingest, Update and their pretokenized
+  // seams, for profiles whose tokens are already interned (doc
+  // frequencies counted): retract-if-live (replace only), block
+  // insert, store add or replace, cluster tracking or revival,
+  // UpdateCmpIndex, and the stage counters.
+  WorkStats WriteProfiles(std::vector<EntityProfile> profiles, bool replace);
+
+  // Interns router-split spellings into this pipeline's dictionary:
+  // token-only profiles with sorted, distinct token ids.
+  std::vector<EntityProfile> InternPretokenized(
+      std::vector<PretokenizedProfile> items);
+
   // Delete internals for one live profile (shared by Delete and the
   // retract half of Update): everything except the profile-store
   // tombstone, which Delete writes and Update replaces.

@@ -2,7 +2,8 @@
 // TokenIds. The blocking layer keys its block collection by TokenId,
 // so the dictionary is shared state between Data Reading and
 // Incremental Blocking. It also tracks per-token document frequency,
-// which the EJS weighting scheme consumes.
+// which is snapshotted with the spellings (no weighting scheme reads
+// it).
 //
 // Memory layout (paper scale): spellings live in one append-only
 // char arena (model/arena.h) instead of one std::string each, and the

@@ -21,10 +21,8 @@
 //
 // Versioning policy: any change to this layout or to any component's
 // payload encoding bumps kFormatVersion. Readers accept versions in
-// [kMinSupportedFormatVersion, kFormatVersion] -- older-but-supported
-// files simply lack sections added since (callers probe with Has()
-// and default the missing state) -- and reject everything else with a
-// version-specific diagnostic. Component payloads carry no
+// [kMinSupportedFormatVersion, kFormatVersion] and reject everything
+// else with a version-specific diagnostic. Component payloads carry no
 // per-section version on purpose -- the single top-level version
 // gates the whole file.
 //
@@ -51,24 +49,15 @@ namespace pier {
 namespace persist {
 
 inline constexpr char kMagic[8] = {'P', 'I', 'E', 'R', 'S', 'N', 'A', 'P'};
-// Version 2: pipeline snapshots gained the 'pier.clusters' section and
-// simulator snapshots the 'sim.clusters' section (the online cluster
-// index / cluster-recall state). v1 files stay loadable: every other
-// section's encoding is unchanged, and restores treat the missing
-// cluster sections as an empty index (clusters repopulate from
-// post-resume match verdicts).
-//
-// Version 3: the sharded ingest path (stream/sharded_pipeline.h)
-// writes 'sharded.*' router sections plus one 'shard<i>.*' family per
-// shard engine, and the RealtimePipeline (now the one-shard case)
-// checkpoints in that layout instead of the old
-// 'pier.*'+'realtime.state' one. v1/v2 simulator and plain-pipeline
-// snapshots stay loadable unchanged; v2 *realtime* checkpoints are
-// rejected by the sharded restore with a missing-section diagnostic
-// (re-run the stream to rebuild -- realtime checkpoints are
-// best-effort durability, not archives).
+// Version 2 added the 'pier.clusters' / 'sim.clusters' sections (the
+// online cluster index / cluster-recall state). Version 3: the sharded
+// ingest path (stream/sharded_pipeline.h) writes 'sharded.*' router
+// sections plus one 'shard<i>.*' family per shard engine, and the
+// RealtimePipeline (the one-shard case) checkpoints in that layout.
+// Only v3 is read: every restore requires its cluster section, and
+// the Bloom payloads of earlier files predate the layout sentinel.
 inline constexpr uint32_t kFormatVersion = 3;
-inline constexpr uint32_t kMinSupportedFormatVersion = 1;
+inline constexpr uint32_t kMinSupportedFormatVersion = 3;
 
 // Accumulates named sections in memory, then serializes the complete
 // framed snapshot in one pass. Section names must be unique and are

@@ -1,6 +1,5 @@
 #include "stream/sharded_pipeline.h"
 
-#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 #include <sstream>
@@ -46,6 +45,8 @@ ShardedPipeline::ShardedPipeline(ShardedOptions options, const Matcher* matcher,
       matcher_(matcher),
       on_match_(std::move(on_match)),
       tokenizer_(options_.pipeline.tokenizer),
+      delivered_(options_.pipeline.exact_executed_filter,
+                 options_.pipeline.mutable_stream),
       verdict_queue_(options_.verdict_queue_capacity),
       metrics_(options_.pipeline.metrics),
       latency_tracker_(LatencyHistogram(options_.pipeline.metrics),
@@ -139,6 +140,20 @@ size_t ShardedPipeline::OwnerOf(TokenId id) {
   return owner;
 }
 
+void ShardedPipeline::SplitByOwner(EntityProfile& profile,
+                                   std::vector<Microbatch>& per_shard) {
+  tokenizer_.TokenizeProfile(profile, dictionary_);
+  for (Microbatch& microbatch : per_shard) {
+    PretokenizedProfile& item = microbatch.items.emplace_back();
+    item.id = profile.id;
+    item.source = profile.source;
+  }
+  for (TokenId token : profile.tokens()) {
+    per_shard[OwnerOf(token)].items.back().tokens.emplace_back(
+        dictionary_.Spelling(token));
+  }
+}
+
 bool ShardedPipeline::Ingest(std::vector<EntityProfile> profiles) {
   std::lock_guard<std::mutex> lock(ingest_mutex_);
   if (stop_.load(std::memory_order_acquire)) {
@@ -154,26 +169,15 @@ bool ShardedPipeline::Ingest(std::vector<EntityProfile> profiles) {
                  "pipeline and retry the restore\n");
     return false;
   }
-  const size_t shard_count = options_.shard_count;
   const double arrival_s = lifetime_.ElapsedSeconds();
-  std::vector<Microbatch> per_shard(shard_count);
+  std::vector<Microbatch> per_shard(options_.shard_count);
   for (auto& profile : profiles) {
     // Multi-producer ingest cannot pre-assign dense ids; the router
     // assigns arrival order under its mutex.
     if (profile.id == kInvalidProfileId) {
       profile.id = static_cast<ProfileId>(profiles_.size());
     }
-    tokenizer_.TokenizeProfile(profile, dictionary_);
-    for (size_t s = 0; s < shard_count; ++s) {
-      PretokenizedProfile item;
-      item.id = profile.id;
-      item.source = profile.source;
-      per_shard[s].items.push_back(std::move(item));
-    }
-    for (TokenId token : profile.tokens()) {
-      per_shard[OwnerOf(token)].items.back().tokens.emplace_back(
-          dictionary_.Spelling(token));
-    }
+    SplitByOwner(profile, per_shard);
     profiles_.Add(std::move(profile));
   }
   clusters_.TrackUpTo(profiles_.size());
@@ -244,16 +248,9 @@ void ShardedPipeline::RetractLocked(ProfileId id) {
   for (const TokenId token : p.tokens()) {
     dictionary_.DecrementDocFrequency(token);
   }
-  // The cross-shard delivered filter: withdraw every delivered pair
-  // with this endpoint so a corrected profile's verdicts re-deliver.
-  for (const ProfileId partner : delivered_pairs_.Take(id)) {
-    const uint64_t key = PairKey(id, partner);
-    if (options_.pipeline.exact_executed_filter) {
-      delivered_exact_.erase(key);
-    } else {
-      delivered_counting_.Remove(key);
-    }
-  }
+  // The cross-shard delivered set: withdraw every delivered pair with
+  // this endpoint so a corrected profile's verdicts re-deliver.
+  delivered_.Retract(id);
   // The serving index: the id reports absence, survivors re-resolve.
   clusters_.RemoveProfile(id);
 }
@@ -282,24 +279,14 @@ bool ShardedPipeline::Update(std::vector<EntityProfile> profiles) {
   if (!BeginMutationLocked("Update")) return false;
   const size_t shard_count = options_.shard_count;
   const double arrival_s = lifetime_.ElapsedSeconds();
-  std::vector<std::vector<PretokenizedProfile>> per_shard(shard_count);
+  std::vector<Microbatch> per_shard(shard_count);
   for (auto& profile : profiles) {
     const ProfileId id = profile.id;
     PIER_CHECK(id < profiles_.size());
     if (profiles_.IsLive(id)) RetractLocked(id);
     // Re-ingest the corrected content exactly like Ingest routes a
-    // fresh arrival: tokenize once globally, split tokens by owner.
-    tokenizer_.TokenizeProfile(profile, dictionary_);
-    for (size_t s = 0; s < shard_count; ++s) {
-      PretokenizedProfile item;
-      item.id = id;
-      item.source = profile.source;
-      per_shard[s].push_back(std::move(item));
-    }
-    for (TokenId token : profile.tokens()) {
-      per_shard[OwnerOf(token)].back().tokens.emplace_back(
-          dictionary_.Spelling(token));
-    }
+    // fresh arrival.
+    SplitByOwner(profile, per_shard);
     profiles_.Replace(std::move(profile));
     clusters_.ReviveAsSingleton(id);
   }
@@ -308,8 +295,8 @@ bool ShardedPipeline::Update(std::vector<EntityProfile> profiles) {
   // parked); the post-update kick below wakes them to emit the
   // rescheduled comparisons.
   for (size_t s = 0; s < shard_count; ++s) {
-    if (!per_shard[s].empty()) {
-      shards_[s]->pipeline->UpdatePretokenized(std::move(per_shard[s]));
+    if (!per_shard[s].items.empty()) {
+      shards_[s]->pipeline->UpdatePretokenized(std::move(per_shard[s].items));
     }
   }
   std::vector<Microbatch> kick(shard_count);
@@ -457,25 +444,6 @@ void ShardedPipeline::ShardLoop(size_t shard_index) {
   }
 }
 
-bool ShardedPipeline::AlreadyDelivered(const Comparison& c) {
-  const uint64_t key = c.Key();
-  bool newly_added;
-  if (options_.pipeline.exact_executed_filter) {
-    newly_added = delivered_exact_.insert(key).second;
-  } else if (options_.pipeline.mutable_stream) {
-    newly_added = !delivered_counting_.TestAndAdd(key);
-  } else {
-    return delivered_filter_.TestAndAdd(key);
-  }
-  // Mutable streams record the pair exactly once per filter insert so
-  // a retraction can withdraw the key (see core/pier_pipeline.cc for
-  // the same contract on the per-shard filters).
-  if (newly_added && options_.pipeline.mutable_stream) {
-    delivered_pairs_.Add(c.x, c.y);
-  }
-  return !newly_added;
-}
-
 void ShardedPipeline::CombinerLoop() {
   // With one shard there is nothing to dedup: the shard's own
   // executed-comparison filter already guarantees exactly-once
@@ -494,7 +462,7 @@ void ShardedPipeline::CombinerLoop() {
     uint64_t duplicates = 0;
     for (size_t i = 0; i < batch.comparisons.size(); ++i) {
       const Comparison& c = batch.comparisons[i];
-      if (dedup && AlreadyDelivered(c)) {
+      if (dedup && delivered_.TestAndAdd(c.x, c.y)) {
         // A pair sharing blocks owned by two shards was matched by
         // both; deliver the first verdict, drop the echo.
         ++duplicates;
@@ -607,25 +575,42 @@ void ShardedPipeline::SnapshotLocked(persist::SnapshotBuilder& builder) const {
   profiles_.Snapshot(builder.AddSection("sharded.profiles"));
   std::ostream& filter = builder.AddSection("sharded.filter");
   serial::WriteBool(filter, options_.pipeline.exact_executed_filter);
-  if (options_.pipeline.exact_executed_filter) {
-    std::vector<uint64_t> keys(delivered_exact_.begin(),
-                               delivered_exact_.end());
-    std::sort(keys.begin(), keys.end());
-    serial::WriteVec(filter, keys, serial::WriteU64);
-  } else if (options_.pipeline.mutable_stream) {
-    delivered_counting_.Snapshot(filter);
-  } else {
-    delivered_filter_.Snapshot(filter);
-  }
-  // Mutable streams carry the retraction registry alongside whichever
-  // filter is active; the shard fingerprints gate the mode, so an
-  // append-only pipeline can never mis-decode a mutable snapshot past
-  // its own shard sections.
-  if (options_.pipeline.mutable_stream) delivered_pairs_.Snapshot(filter);
+  // The shard fingerprints gate the mutability mode, so an append-only
+  // pipeline can never mis-decode a mutable set past its own shard
+  // sections.
+  delivered_.Snapshot(filter);
   clusters_.Snapshot(builder.AddSection("sharded.clusters"));
   for (size_t s = 0; s < shards_.size(); ++s) {
     shards_[s]->pipeline->Snapshot(builder, "shard" + std::to_string(s));
   }
+  // Each shard's Snapshot set the persist.state_bytes.* gauges to its
+  // own footprint alone; report the whole pipeline's instead: router
+  // state, every shard engine, and the combiner's set.
+  if (metrics_ == nullptr) return;
+  size_t profiles = profiles_.ApproxMemoryBytes();
+  size_t blocks = 0;
+  size_t dictionary = dictionary_.ApproxMemoryBytes();
+  size_t executed = delivered_.ApproxMemoryBytes();
+  size_t clusters = clusters_.ApproxMemoryBytes();
+  for (const auto& shard : shards_) {
+    const PierPipeline& engine = *shard->pipeline;
+    profiles += engine.profiles().ApproxMemoryBytes();
+    blocks += engine.blocks().ApproxMemoryBytes();
+    dictionary += engine.dictionary().ApproxMemoryBytes();
+    executed += engine.executed().ApproxMemoryBytes();
+    clusters += engine.clusters().ApproxMemoryBytes();
+  }
+  obs::MetricsRegistry& r = *metrics_;
+  obs::GaugeSet(r.GetGauge("persist.state_bytes.profiles"),
+                static_cast<double>(profiles));
+  obs::GaugeSet(r.GetGauge("persist.state_bytes.blocks"),
+                static_cast<double>(blocks));
+  obs::GaugeSet(r.GetGauge("persist.state_bytes.dictionary"),
+                static_cast<double>(dictionary));
+  obs::GaugeSet(r.GetGauge("persist.state_bytes.filter"),
+                static_cast<double>(executed));
+  obs::GaugeSet(r.GetGauge("persist.state_bytes.clusters"),
+                static_cast<double>(clusters));
 }
 
 bool ShardedPipeline::RestoreFromSnapshot(std::istream& snapshot,
@@ -721,21 +706,7 @@ bool ShardedPipeline::RestoreFromSnapshot(std::istream& snapshot,
         "section 'sharded.filter' mode does not match "
         "options.exact_executed_filter");
   }
-  if (exact) {
-    std::vector<uint64_t> keys;
-    if (!serial::ReadVec(section, &keys, serial::ReadU64)) {
-      return fail("section 'sharded.filter' failed to decode");
-    }
-    delivered_exact_.insert(keys.begin(), keys.end());
-  } else if (options_.pipeline.mutable_stream) {
-    if (!delivered_counting_.Restore(section)) {
-      return fail("section 'sharded.filter' failed to decode");
-    }
-  } else if (!delivered_filter_.Restore(section)) {
-    return fail("section 'sharded.filter' failed to decode");
-  }
-  if (options_.pipeline.mutable_stream &&
-      !delivered_pairs_.Restore(section)) {
+  if (!delivered_.Restore(section)) {
     return fail("section 'sharded.filter' failed to decode");
   }
   if (!reader.Open("sharded.clusters", &section, error) ||

@@ -14,12 +14,11 @@
 // its tokens to each, so shard s builds exactly the blocks for the
 // tokens it owns. Hence no comparison is lost (every active block
 // exists in some shard at full size) and none is executed twice
-// per-shard (each shard's executed-filter dedups its own emissions).
+// per-shard (each shard's ExecutedSet dedups its own emissions).
 // A pair sharing tokens owned by different shards may be *matched*
-// redundantly, once per owning shard; the combiner's global
-// executed-pair filter suppresses the duplicate before it reaches the
-// cluster index or the user callback (shard.duplicates_suppressed
-// counts them).
+// redundantly, once per owning shard; the combiner's own ExecutedSet
+// suppresses the duplicate before it reaches the cluster index or the
+// user callback (shard.duplicates_suppressed counts them).
 //
 // Determinism contract: each shard's verdict substream is
 // deterministic (same data, same substream, any thread count -- the
@@ -62,17 +61,14 @@
 #include <mutex>
 #include <string>
 #include <thread>
-#include <unordered_set>
 #include <vector>
 
+#include "core/executed_set.h"
 #include "core/pier_pipeline.h"
-#include "model/pair_registry.h"
 #include "similarity/matcher.h"
 #include "similarity/parallel_executor.h"
 #include "stream/ingest_latency.h"
 #include "stream/shard_queue.h"
-#include "util/counting_bloom_filter.h"
-#include "util/scalable_bloom_filter.h"
 #include "util/stopwatch.h"
 
 namespace pier {
@@ -257,11 +253,13 @@ class ShardedPipeline {
   // section, so the Drain predicate can never observe "nothing queued,
   // everyone idle" while the pop is still in flight.
   void OnMicrobatchPopped(Shard& shard);
-  // Combiner thread only: global cross-shard executed-pair filter.
-  bool AlreadyDelivered(const Comparison& c);
   // Shard owning token `id`, computed once per token from its
   // spelling. Caller holds ingest_mutex_.
   size_t OwnerOf(TokenId id);
+  // Tokenizes `profile` once into the global dictionary and appends
+  // one item per shard carrying that shard's owned token slice.
+  // Caller holds ingest_mutex_.
+  void SplitByOwner(EntityProfile& profile, std::vector<Microbatch>& per_shard);
   // Routes one microbatch per shard. Caller holds ingest_mutex_.
   // Returns false when any queue rejected its microbatch (closed by a
   // concurrent Stop()): part of the work was dropped and the caller
@@ -301,15 +299,10 @@ class ShardedPipeline {
   bool poisoned_ = false;
   std::unique_ptr<persist::CheckpointManager> checkpointer_;
 
-  // Combiner-owned cross-shard executed-pair filter (combiner thread
-  // only while running; router reads/writes it only when quiesced).
-  // Mutable streams swap the Bloom filter for its counting variant and
-  // maintain the pair registry so retraction can withdraw keys (for
-  // the exact set too).
-  ScalableBloomFilter delivered_filter_;
-  ScalableCountingBloomFilter delivered_counting_;
-  std::unordered_set<uint64_t> delivered_exact_;
-  PairRegistry delivered_pairs_;
+  // Combiner-owned cross-shard executed-pair set, built like each
+  // shard's own (combiner thread only while running; router
+  // reads/writes it only when quiesced).
+  ExecutedSet delivered_;
 
   // The serving index: written by the router (TrackUpTo) and the
   // combiner (AddMatches), queried lock-free from anywhere.

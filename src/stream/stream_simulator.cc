@@ -311,39 +311,28 @@ bool StreamSimulator::RestoreLoopState(const persist::SnapshotReader& reader,
   for (const CurvePoint& p : points) s.result.curve.Add(p);
 
   s.tracker = std::make_unique<ClusterRecallTracker>(dataset_->truth);
-  if (reader.Has("sim.clusters")) {
-    std::istringstream cl;
-    if (!reader.Open("sim.clusters", &cl, error)) return false;
-    std::vector<CurvePoint> cluster_points;
-    if (!serial::ReadVec(cl, &cluster_points,
-                         [](std::istream& in, CurvePoint* p) {
-                           return serial::ReadF64(in, &p->time) &&
-                                  serial::ReadU64(in, &p->comparisons) &&
-                                  serial::ReadU64(in, &p->matches_found);
-                         })) {
-      SetResumeError(error, "section 'sim.clusters' failed to decode");
-      return false;
-    }
-    if (!s.tracker->Restore(cl)) {
-      SetResumeError(error, "section 'sim.clusters' failed to decode");
-      return false;
-    }
-    // Curve and cluster curve are recorded in lockstep.
-    if (cluster_points.size() != points.size()) {
-      SetResumeError(error,
-                     "section 'sim.clusters' is internally inconsistent");
-      return false;
-    }
-    for (const CurvePoint& p : cluster_points) s.result.cluster_curve.Add(p);
-  } else {
-    // v1 snapshot: no cluster state was recorded. The tracker's
-    // partition restarts empty, and the cluster curve is padded with
-    // zero-match points mirroring the PC curve so the two stay in
-    // lockstep (pre-resume cluster recall reports 0).
-    for (const CurvePoint& p : points) {
-      s.result.cluster_curve.Add({p.time, p.comparisons, 0});
-    }
+  std::istringstream cl;
+  if (!reader.Open("sim.clusters", &cl, error)) return false;
+  std::vector<CurvePoint> cluster_points;
+  if (!serial::ReadVec(cl, &cluster_points,
+                       [](std::istream& in, CurvePoint* p) {
+                         return serial::ReadF64(in, &p->time) &&
+                                serial::ReadU64(in, &p->comparisons) &&
+                                serial::ReadU64(in, &p->matches_found);
+                       })) {
+    SetResumeError(error, "section 'sim.clusters' failed to decode");
+    return false;
   }
+  if (!s.tracker->Restore(cl)) {
+    SetResumeError(error, "section 'sim.clusters' failed to decode");
+    return false;
+  }
+  // Curve and cluster curve are recorded in lockstep.
+  if (cluster_points.size() != points.size()) {
+    SetResumeError(error, "section 'sim.clusters' is internally inconsistent");
+    return false;
+  }
+  for (const CurvePoint& p : cluster_points) s.result.cluster_curve.Add(p);
 
   *state = std::move(s);
   return true;

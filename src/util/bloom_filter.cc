@@ -105,12 +105,8 @@ bool BloomFilter::MayContain(uint64_t key) const {
 }
 
 void BloomFilter::Snapshot(std::ostream& out) const {
-  if (layout_ != BloomLayout::kFlatModulo) {
-    // Sentinel-prefixed format: a zero u64 (impossible as the legacy
-    // leading expected_items field) followed by the layout byte.
-    serial::WriteU64(out, 0);
-    serial::WriteU8(out, static_cast<uint8_t>(layout_));
-  }
+  serial::WriteU64(out, 0);  // sentinel
+  serial::WriteU8(out, static_cast<uint8_t>(layout_));
   serial::WriteU64(out, expected_items_);
   serial::WriteU64(out, num_bits_);
   serial::WriteU32(out, static_cast<uint32_t>(num_hashes_));
@@ -120,22 +116,17 @@ void BloomFilter::Snapshot(std::ostream& out) const {
 
 std::unique_ptr<BloomFilter> BloomFilter::FromSnapshot(std::istream& in) {
   auto filter = std::unique_ptr<BloomFilter>(new BloomFilter());
+  uint64_t sentinel = 0;
+  uint8_t layout = 0;
   uint64_t expected_items = 0;
-  if (!serial::ReadU64(in, &expected_items)) return nullptr;
-  if (expected_items == 0) {
-    // Sentinel: layout byte then the regular fields.
-    uint8_t layout = 0;
-    if (!serial::ReadU8(in, &layout) ||
-        layout > static_cast<uint8_t>(BloomLayout::kBlocked512) ||
-        !serial::ReadU64(in, &expected_items)) {
-      return nullptr;
-    }
-    filter->layout_ = static_cast<BloomLayout>(layout);
-  } else {
-    // Legacy payload (no layout flag): bits were placed with the
-    // modulo mapping, so the filter must keep probing with it.
-    filter->layout_ = BloomLayout::kFlatModulo;
+  if (!serial::ReadU64(in, &sentinel) || sentinel != 0 ||
+      !serial::ReadU8(in, &layout) ||
+      (layout != static_cast<uint8_t>(BloomLayout::kFlatFastrange) &&
+       layout != static_cast<uint8_t>(BloomLayout::kBlocked512)) ||
+      !serial::ReadU64(in, &expected_items)) {
+    return nullptr;
   }
+  filter->layout_ = static_cast<BloomLayout>(layout);
   uint64_t num_bits = 0;
   uint32_t num_hashes = 0;
   uint64_t num_insertions = 0;
@@ -158,19 +149,6 @@ std::unique_ptr<BloomFilter> BloomFilter::FromSnapshot(std::istream& in) {
   filter->num_hashes_ = static_cast<int>(num_hashes);
   filter->num_insertions_ = num_insertions;
   return filter;
-}
-
-bool BloomFilter::UnionFrom(const BloomFilter& other) {
-  if (other.layout_ != layout_ ||
-      other.expected_items_ != expected_items_ ||
-      other.num_bits_ != num_bits_ || other.num_hashes_ != num_hashes_) {
-    return false;
-  }
-  if (&other == this) return true;
-  for (size_t i = 0; i < bits_.size(); ++i) bits_[i] |= other.bits_[i];
-  num_insertions_ =
-      std::min(expected_items_, num_insertions_ + other.num_insertions_);
-  return true;
 }
 
 }  // namespace pier

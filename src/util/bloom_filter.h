@@ -3,20 +3,11 @@
 // the comparison filter CF of the I-PBS algorithm (Algorithm 3 of the
 // paper; technique from Gazzarri & Herschel, EDBT 2020 [16]).
 //
-// Three bit layouts share the class (see BloomLayout):
+// Two bit layouts share the class (see BloomLayout):
 //
-//  - kFlatModulo: the original layout -- k double-hashed probes over
-//    the whole array, each mapped with `% num_bits`. Kept only so
-//    snapshots written before the layout flag existed restore with
-//    the exact bit mapping they were built with; new filters never
-//    use it (an integer divide per probe is the hot-path cost).
-//  - kFlatFastrange: same probe sequence, but mapped with Lemire's
-//    fastrange ((h * num_bits) >> 64) -- a multiply instead of a
-//    divide. Bit positions differ from kFlatModulo, which is why the
-//    mapping is a persisted format flag and not a silent upgrade:
-//    restoring modulo-era bits under fastrange probes would produce
-//    false negatives, the one error class a Bloom filter must never
-//    emit.
+//  - kFlatFastrange: k double-hashed probes over the whole array, each
+//    mapped with Lemire's fastrange ((h * num_bits) >> 64) -- a
+//    multiply instead of a divide.
 //  - kBlocked512: split-block layout. One fastrange hash picks a
 //    512-bit block (one cache line); all k probe bits land inside
 //    that block, addressed by 9-bit slices of the second hash. A
@@ -26,10 +17,9 @@
 //    schedule absorbs it). This is the layout the executed-comparison
 //    filter uses at paper scale.
 //
-// Snapshot compatibility: the pre-flag format started with a nonzero
-// expected_items u64. New snapshots start with a zero u64 sentinel
-// followed by a layout byte, so FromSnapshot can accept both: nonzero
-// first word == legacy kFlatModulo payload.
+// The layouts place bits differently, so the layout is part of the
+// snapshot: a zero u64 sentinel, then the layout byte, then the
+// sizing fields. FromSnapshot rejects any other leading word.
 
 #ifndef PIER_UTIL_BLOOM_FILTER_H_
 #define PIER_UTIL_BLOOM_FILTER_H_
@@ -45,8 +35,8 @@
 
 namespace pier {
 
+// Wire values; 0 is unused.
 enum class BloomLayout : uint8_t {
-  kFlatModulo = 0,
   kFlatFastrange = 1,
   kBlocked512 = 2,
 };
@@ -77,26 +67,14 @@ class BloomFilter {
   // Estimated memory footprint in bytes.
   size_t MemoryBytes() const { return bits_.size() * sizeof(uint64_t); }
 
-  // Serializes layout, sizing parameters, insertion count, and the bit
-  // array (little-endian; see util/serial.h). kFlatModulo filters are
-  // written in the legacy (pre-layout-flag) format, everything else in
-  // the sentinel-prefixed format described in the file comment.
+  // Serializes the sentinel and layout, sizing parameters, insertion
+  // count, and the bit array (little-endian; see util/serial.h).
   void Snapshot(std::ostream& out) const;
 
-  // Reconstructs a filter from a Snapshot payload (either format);
-  // null on any decode failure or inconsistent field (e.g. word count
-  // not matching the recorded bit count).
+  // Reconstructs a filter from a Snapshot payload; null on any decode
+  // failure or inconsistent field (e.g. word count not matching the
+  // recorded bit count).
   static std::unique_ptr<BloomFilter> FromSnapshot(std::istream& in);
-
-  // Folds another filter of identical layout and sizing into this one
-  // (bitwise OR), so every key Add()ed to either side is MayContain()
-  // here -- the shard-merge consolidation primitive. The insertion
-  // count saturates at expected_items(), which keeps a slice sequence
-  // Restore-consistent (non-final slices stay exactly full); the
-  // realized false-positive rate can exceed design when both sides
-  // were heavily loaded. Returns false, leaving this filter untouched,
-  // when the layout or sizing parameters differ.
-  bool UnionFrom(const BloomFilter& other);
 
   // Mirror of the constructor's sizing, exposed so a snapshot reader
   // can validate recorded dimensions without allocating: the (bits,
@@ -121,12 +99,11 @@ class BloomFilter {
   size_t BitIndex(uint64_t h1, uint64_t h2, int i) const {
     // Double hashing: g_i(x) = h1 + i * h2 (Kirsch & Mitzenmacher).
     const uint64_t g = h1 + static_cast<uint64_t>(i) * h2;
-    if (layout_ == BloomLayout::kFlatModulo) return g % num_bits_;
     // Fastrange keeps only the HIGH bits of its input, and those step
     // arithmetically across the probe sequence (step = top bits of
     // h2), clustering the probes whenever that step is small. One
-    // extra mix decorrelates them and is still far cheaper than the
-    // modulo divide it replaces.
+    // extra mix decorrelates them and is still far cheaper than a
+    // modulo divide.
     return FastRange(Mix64(g), num_bits_);
   }
 

@@ -1,6 +1,5 @@
 #include "util/counting_bloom_filter.h"
 
-#include <algorithm>
 #include <cmath>
 #include <istream>
 #include <ostream>
@@ -64,23 +63,6 @@ bool CountingBloomFilter::MayContain(uint64_t key) const {
   for (int i = 0; i < num_hashes_; ++i) {
     if (CellValue(CellIndex(h1, h2, i)) == 0) return false;
   }
-  return true;
-}
-
-bool CountingBloomFilter::UnionFrom(const CountingBloomFilter& other) {
-  if (other.expected_items_ != expected_items_ ||
-      other.num_cells_ != num_cells_ || other.num_hashes_ != num_hashes_) {
-    return false;
-  }
-  if (&other == this) return true;
-  for (size_t cell = 0; cell < num_cells_; ++cell) {
-    const uint32_t sum = CellValue(cell) + other.CellValue(cell);
-    SetCellValue(cell, sum > 3 ? 3u : sum);
-  }
-  num_insertions_ =
-      std::min(expected_items_, num_insertions_ + other.num_insertions_);
-  num_removals_ =
-      std::min(num_insertions_, num_removals_ + other.num_removals_);
   return true;
 }
 
@@ -178,37 +160,6 @@ bool ScalableCountingBloomFilter::TestAndAdd(uint64_t key) {
   if (MayContain(key)) return true;
   Add(key);
   return false;
-}
-
-bool ScalableCountingBloomFilter::UnionFrom(
-    const ScalableCountingBloomFilter& other) {
-  if (other.options_.initial_capacity != options_.initial_capacity ||
-      other.options_.fp_rate != options_.fp_rate ||
-      other.options_.growth != options_.growth ||
-      other.options_.tightening != options_.tightening) {
-    return false;
-  }
-  if (&other == this) return true;
-  const size_t shared = std::min(slices_.size(), other.slices_.size());
-  for (size_t i = 0; i < shared; ++i) {
-    // Equal options make slice i of both sides structurally identical,
-    // so the per-slice union cannot fail.
-    PIER_CHECK(slices_[i]->UnionFrom(*other.slices_[i]));
-  }
-  for (size_t i = shared; i < other.slices_.size(); ++i) {
-    slices_.push_back(
-        std::make_unique<CountingBloomFilter>(*other.slices_[i]));
-  }
-  // Recompute the totals from the (saturated) per-slice counts; each
-  // slice keeps removals <= insertions, so the sums do too and the
-  // Restore invariants hold.
-  num_insertions_ = 0;
-  num_removals_ = 0;
-  for (const auto& slice : slices_) {
-    num_insertions_ += slice->num_insertions();
-    num_removals_ += slice->num_removals();
-  }
-  return true;
 }
 
 size_t ScalableCountingBloomFilter::MemoryBytes() const {

@@ -66,16 +66,6 @@ class CountingBloomFilter {
   // constructor would have produced.
   static std::unique_ptr<CountingBloomFilter> FromSnapshot(std::istream& in);
 
-  // Folds another filter of identical sizing into this one by
-  // saturating per-cell addition (min(3, a + b)), so every key live on
-  // either side stays MayContain() here. Cells that saturate become
-  // sticky, per the filter's contract. Insertion/removal bookkeeping
-  // saturates the same way counts do (insertions at expected_items(),
-  // removals at the new insertion count), keeping a slice sequence
-  // Restore-consistent. Returns false, leaving this filter untouched,
-  // when the sizing parameters differ.
-  bool UnionFrom(const CountingBloomFilter& other);
-
  private:
   CountingBloomFilter() = default;  // for FromSnapshot
 
@@ -143,12 +133,6 @@ class ScalableCountingBloomFilter {
   // sizing/insertion bookkeeping against what the growth schedule
   // would have produced. Returns false on any failure.
   bool Restore(std::istream& in);
-
-  // Counting analogue of ScalableBloomFilter::UnionFrom: requires
-  // identical Options, unions shared slices cell-wise (saturating) and
-  // deep-copies `other`'s extra slices. Returns false without
-  // modifying anything on an options mismatch.
-  bool UnionFrom(const ScalableCountingBloomFilter& other);
 
  private:
   void AddSlice();

@@ -1,6 +1,5 @@
 #include "util/scalable_bloom_filter.h"
 
-#include <algorithm>
 #include <cmath>
 #include <istream>
 #include <ostream>
@@ -32,7 +31,7 @@ void ScalableBloomFilter::AddSlice() {
   const double error =
       p0 * std::pow(options_.tightening, static_cast<double>(i));
   slices_.push_back(std::make_unique<BloomFilter>(
-      static_cast<size_t>(capacity), error, options_.layout));
+      static_cast<size_t>(capacity), error, BloomLayout::kBlocked512));
 }
 
 void ScalableBloomFilter::Add(uint64_t key) {
@@ -54,32 +53,6 @@ bool ScalableBloomFilter::TestAndAdd(uint64_t key) {
   return false;
 }
 
-bool ScalableBloomFilter::UnionFrom(const ScalableBloomFilter& other) {
-  if (other.options_.initial_capacity != options_.initial_capacity ||
-      other.options_.fp_rate != options_.fp_rate ||
-      other.options_.growth != options_.growth ||
-      other.options_.tightening != options_.tightening ||
-      other.options_.layout != options_.layout) {
-    return false;
-  }
-  if (&other == this) return true;
-  const size_t shared = std::min(slices_.size(), other.slices_.size());
-  for (size_t i = 0; i < shared; ++i) {
-    // Equal options make slice i of both sides structurally identical,
-    // so the per-slice union cannot fail.
-    PIER_CHECK(slices_[i]->UnionFrom(*other.slices_[i]));
-  }
-  for (size_t i = shared; i < other.slices_.size(); ++i) {
-    slices_.push_back(std::make_unique<BloomFilter>(*other.slices_[i]));
-  }
-  // Saturating per-slice counts keep the Restore invariant (every
-  // non-final slice exactly full): whenever slice i is non-final on
-  // the longer side, its union saturates at the slice capacity.
-  num_insertions_ = 0;
-  for (const auto& slice : slices_) num_insertions_ += slice->num_insertions();
-  return true;
-}
-
 size_t ScalableBloomFilter::MemoryBytes() const {
   size_t total = 0;
   for (const auto& slice : slices_) total += slice->MemoryBytes();
@@ -93,15 +66,8 @@ size_t ScalableBloomFilter::ApproxMemoryBytes() const {
 }
 
 void ScalableBloomFilter::Snapshot(std::ostream& out) const {
-  if (options_.layout != BloomLayout::kFlatModulo) {
-    // Sentinel-prefixed format (see bloom_filter.h): a zero u64 --
-    // impossible as the legacy leading initial_capacity field -- then
-    // the layout byte. kFlatModulo keeps the legacy byte stream so a
-    // snapshot restored from the pre-flag era re-snapshots to
-    // identical bytes.
-    serial::WriteU64(out, 0);
-    serial::WriteU8(out, static_cast<uint8_t>(options_.layout));
-  }
+  serial::WriteU64(out, 0);  // sentinel
+  serial::WriteU8(out, static_cast<uint8_t>(BloomLayout::kBlocked512));
   serial::WriteU64(out, options_.initial_capacity);
   serial::WriteF64(out, options_.fp_rate);
   serial::WriteF64(out, options_.growth);
@@ -113,22 +79,16 @@ void ScalableBloomFilter::Snapshot(std::ostream& out) const {
 
 bool ScalableBloomFilter::Restore(std::istream& in) {
   Options options;
+  uint64_t sentinel = 0;
+  uint8_t layout = 0;
   uint64_t initial_capacity = 0;
   uint64_t num_insertions = 0;
   uint64_t num_slices = 0;
-  if (!serial::ReadU64(in, &initial_capacity)) return false;
-  if (initial_capacity == 0) {
-    // Sentinel-prefixed format: layout byte, then the regular fields.
-    uint8_t layout = 0;
-    if (!serial::ReadU8(in, &layout) ||
-        layout > static_cast<uint8_t>(BloomLayout::kBlocked512) ||
-        !serial::ReadU64(in, &initial_capacity)) {
-      return false;
-    }
-    options.layout = static_cast<BloomLayout>(layout);
-  } else {
-    // Legacy payload: every slice was written with the modulo mapping.
-    options.layout = BloomLayout::kFlatModulo;
+  if (!serial::ReadU64(in, &sentinel) || sentinel != 0 ||
+      !serial::ReadU8(in, &layout) ||
+      layout != static_cast<uint8_t>(BloomLayout::kBlocked512) ||
+      !serial::ReadU64(in, &initial_capacity)) {
+    return false;
   }
   if (!serial::ReadF64(in, &options.fp_rate) ||
       !serial::ReadF64(in, &options.growth) ||
@@ -171,9 +131,10 @@ bool ScalableBloomFilter::Restore(std::istream& in) {
     if (!(m >= 0.0) || m > 1e18) return false;
     size_t expect_bits = 0;
     int expect_hashes = 0;
-    BloomFilter::ExpectedSizing(cap, error, options.layout, &expect_bits,
-                                &expect_hashes);
-    if (slice->layout() != options.layout || slice->expected_items() != cap ||
+    BloomFilter::ExpectedSizing(cap, error, BloomLayout::kBlocked512,
+                                &expect_bits, &expect_hashes);
+    if (slice->layout() != BloomLayout::kBlocked512 ||
+        slice->expected_items() != cap ||
         slice->num_bits() != expect_bits ||
         slice->num_hashes() != expect_hashes) {
       return false;

@@ -8,6 +8,11 @@
 // on an unbounded stream the set of executed comparisons grows without
 // limit, so an exact hash set would exhaust memory while this filter
 // keeps a small, bounded-error footprint.
+//
+// Every slice uses the cache-line-blocked layout: the executed-
+// comparison filter is probed once per emitted comparison, and one
+// cache line per probe beats k scattered lines (see bloom_filter.h for
+// the FP-rate trade).
 
 #ifndef PIER_UTIL_SCALABLE_BLOOM_FILTER_H_
 #define PIER_UTIL_SCALABLE_BLOOM_FILTER_H_
@@ -34,12 +39,6 @@ class ScalableBloomFilter {
     // Error-tightening ratio r: slice i gets error p0 * r^i with
     // p0 = fp_rate * (1 - r).
     double tightening = 0.9;
-    // Bit layout of every slice. The cache-line-blocked layout is the
-    // default: at paper scale the executed-comparison filter is probed
-    // once per emitted comparison, and one cache line per probe beats
-    // k scattered lines (see bloom_filter.h for the FP-rate trade).
-    // Snapshots taken before this flag existed restore as kFlatModulo.
-    BloomLayout layout = BloomLayout::kBlocked512;
   };
 
   ScalableBloomFilter() : ScalableBloomFilter(Options()) {}
@@ -68,25 +67,17 @@ class ScalableBloomFilter {
   // itself (exported as a persist.state_bytes gauge).
   size_t ApproxMemoryBytes() const;
 
-  // Serializes options, insertion count, and every slice.
+  // Serializes a zero sentinel and the layout byte (kept so the bytes
+  // match filters that recorded their layout), options, insertion
+  // count, and every slice.
   void Snapshot(std::ostream& out) const;
 
   // Replaces this filter's entire state from a Snapshot payload
   // (including the options, which are validated against the
   // constructor's ranges). Returns false on any decode failure,
-  // leaving the filter in an unspecified-but-valid state.
+  // leaving the filter in an unspecified-but-valid state. A layout
+  // byte other than kBlocked512 is a decode failure.
   bool Restore(std::istream& in);
-
-  // Folds `other` into this filter so every key added to either side
-  // is MayContain() here -- how a combiner consolidates the per-shard
-  // executed-comparison filters after a shard merge. Both filters must
-  // share identical Options (equal options make slice i of both sides
-  // structurally identical, since sizing is a pure function of the
-  // growth schedule); returns false without modifying anything
-  // otherwise. Extra slices of `other` are deep-copied; per-slice
-  // insertion counts saturate (see BloomFilter::UnionFrom), so the
-  // result stays Snapshot/Restore round-trippable.
-  bool UnionFrom(const ScalableBloomFilter& other);
 
  private:
   void AddSlice();

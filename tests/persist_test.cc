@@ -190,24 +190,6 @@ std::string FrameWithVersion(
   return std::move(out).str();
 }
 
-TEST(SnapshotTest, SupportedOlderVersionAccepted) {
-  // v1 files (pre cluster-index sections) must stay loadable.
-  std::ostringstream payload;
-  serial::WriteU64(payload, 7);
-  const std::string bytes = FrameWithVersion(
-      persist::kMinSupportedFormatVersion, {{"alpha", payload.str()}});
-  std::istringstream in(bytes);
-  persist::SnapshotReader reader;
-  std::string error;
-  ASSERT_TRUE(reader.Parse(in, &error)) << error;
-  ASSERT_TRUE(reader.Has("alpha"));
-  std::istringstream alpha;
-  ASSERT_TRUE(reader.Open("alpha", &alpha, &error)) << error;
-  uint64_t v = 0;
-  ASSERT_TRUE(serial::ReadU64(alpha, &v));
-  EXPECT_EQ(v, 7u);
-}
-
 TEST(SnapshotTest, OutOfRangeVersionsRejected) {
   for (const uint32_t version :
        {persist::kMinSupportedFormatVersion - 1,
@@ -505,45 +487,6 @@ TEST_P(PipelinePersistTest, SnapshotRestoreSnapshotByteIdentical) {
     }
     if (a.empty()) break;
   }
-}
-
-TEST_P(PipelinePersistTest, RestoreToleratesMissingClusterSection) {
-  // v1 snapshots predate 'pier.clusters'; restore must treat the
-  // missing section as an empty cluster index, not a hard failure.
-  PierOptions options;
-  options.kind = DatasetKind::kDirty;
-  options.strategy = GetParam();
-  PierPipeline pipeline(options);
-  pipeline.ReportArrival(0.0);
-  pipeline.Ingest(SampleIncrement(0, 20));
-  (void)pipeline.EmitBatch(8);
-  pipeline.RecordMatch(0, 1);
-
-  persist::SnapshotBuilder builder;
-  pipeline.Snapshot(builder);
-  std::istringstream in(builder.Bytes());
-  persist::SnapshotReader reader;
-  std::string error;
-  ASSERT_TRUE(reader.Parse(in, &error)) << error;
-
-  // Re-frame at v1 without the cluster section.
-  std::vector<std::pair<std::string, std::string>> sections;
-  for (const std::string& name : reader.section_names()) {
-    if (name == "pier.clusters") continue;
-    sections.emplace_back(name, *reader.Section(name));
-  }
-  std::istringstream v1_in(
-      FrameWithVersion(persist::kMinSupportedFormatVersion, sections));
-  persist::SnapshotReader v1_reader;
-  ASSERT_TRUE(v1_reader.Parse(v1_in, &error)) << error;
-  ASSERT_FALSE(v1_reader.Has("pier.clusters"));
-
-  PierPipeline restored(options);
-  ASSERT_TRUE(restored.Restore(v1_reader, &error)) << error;
-  // The cluster index starts empty and repopulates from new verdicts.
-  EXPECT_EQ(restored.clusters().universe_size(), 0u);
-  restored.RecordMatch(2, 3);
-  EXPECT_EQ(restored.clusters().ClusterIdOf(3), 2u);
 }
 
 TEST_P(PipelinePersistTest, FingerprintMismatchRejected) {

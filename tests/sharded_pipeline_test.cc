@@ -659,6 +659,47 @@ TEST(ShardedPipelineTest, ExportsShardAndFreshnessMetrics) {
   }
 }
 
+#ifndef PIER_OBS_DISABLED
+// Regression: every shard engine set the persist.state_bytes.* gauges
+// from its own Snapshot, so the last shard's footprint won, and the
+// router's store and dictionary, the combiner's set and the serving
+// cluster index were never counted.
+TEST(ShardedPipelineTest, StateBytesGaugesCoverWholePipeline) {
+  obs::MetricsRegistry registry;
+  const JaccardMatcher matcher(0.5);
+  const std::string dir =
+      (std::filesystem::temp_directory_path() / "pier_shard_state_bytes_test")
+          .string();
+  std::filesystem::remove_all(dir);
+  ShardedOptions options;
+  options.pipeline.metrics = &registry;
+  options.shard_count = 2;
+  {
+    ShardedPipeline pipeline(options, &matcher, [](ProfileId, ProfileId) {});
+    pipeline.EnableCheckpoints(dir, /*every=*/1, /*keep=*/1);
+    ProfileId next = 0;
+    for (int round = 0; round < 4; ++round) {
+      std::vector<EntityProfile> profiles;
+      for (int i = 0; i < 8; ++i, ++next) {
+        // A long note fills the router's text arena, which shard
+        // stores (tokens only) never allocate.
+        const std::string name =
+            "alpha beta gamma delta " + std::to_string(next % 5);
+        profiles.push_back(EntityProfile(
+            next, 0, {{"name", name}, {"note", std::string(3000, 'x')}}));
+      }
+      ASSERT_TRUE(pipeline.Ingest(std::move(profiles)));
+    }
+    pipeline.Drain();
+    EXPECT_GE(registry.GetGauge("persist.state_bytes.profiles")->Value(),
+              static_cast<double>(pipeline.profiles().ApproxMemoryBytes()));
+    EXPECT_GE(registry.GetGauge("persist.state_bytes.clusters")->Value(),
+              static_cast<double>(pipeline.clusters().ApproxMemoryBytes()));
+  }
+  std::filesystem::remove_all(dir);
+}
+#endif  // PIER_OBS_DISABLED
+
 // Regression: drain used to close verdict-less ingests into the
 // freshness histogram, so a stream of singleton profiles (no shared
 // blocks, no comparisons, no verdicts) reported its entire

@@ -348,103 +348,6 @@ TEST(ScalableBloomFilterTest, MemoryGrowsSubquadratically) {
   EXPECT_LT(filter.MemoryBytes(), 1u << 20);
 }
 
-// ---------------------------------------------------------------------------
-// UnionFrom (shard-merge filter consolidation)
-// ---------------------------------------------------------------------------
-
-TEST(BloomFilterTest, UnionFromNoFalseNegatives) {
-  // Property: after a.UnionFrom(b), every key added to either side
-  // must still be MayContain in a, across random disjoint key sets.
-  Rng rng(99);
-  for (int round = 0; round < 20; ++round) {
-    BloomFilter a(2000, 0.01);
-    BloomFilter b(2000, 0.01);
-    std::vector<uint64_t> a_keys;
-    std::vector<uint64_t> b_keys;
-    const size_t na = rng.UniformInt(0, 1000);
-    const size_t nb = rng.UniformInt(0, 1000);
-    for (size_t i = 0; i < na; ++i) a_keys.push_back(Mix64(rng.NextU64()));
-    for (size_t i = 0; i < nb; ++i) b_keys.push_back(Mix64(rng.NextU64()));
-    for (const uint64_t k : a_keys) a.Add(k);
-    for (const uint64_t k : b_keys) b.Add(k);
-    ASSERT_TRUE(a.UnionFrom(b));
-    for (const uint64_t k : a_keys) EXPECT_TRUE(a.MayContain(k));
-    for (const uint64_t k : b_keys) EXPECT_TRUE(a.MayContain(k));
-  }
-}
-
-TEST(BloomFilterTest, UnionFromRejectsMismatchedSizing) {
-  BloomFilter a(1000, 0.01);
-  BloomFilter other_items(2000, 0.01);
-  BloomFilter other_rate(1000, 0.05);
-  a.Add(7);
-  EXPECT_FALSE(a.UnionFrom(other_items));
-  EXPECT_FALSE(a.UnionFrom(other_rate));
-  EXPECT_TRUE(a.MayContain(7));  // untouched on rejection
-}
-
-TEST(BloomFilterTest, UnionFromSelfIsNoOp) {
-  BloomFilter a(100, 0.01);
-  a.Add(1);
-  a.Add(2);
-  const size_t before = a.num_insertions();
-  EXPECT_TRUE(a.UnionFrom(a));
-  EXPECT_EQ(a.num_insertions(), before);
-  EXPECT_TRUE(a.MayContain(1));
-}
-
-TEST(ScalableBloomFilterTest, UnionFromMergesMultiSliceFilters) {
-  ScalableBloomFilter::Options options;
-  options.initial_capacity = 64;
-  ScalableBloomFilter a(options);
-  ScalableBloomFilter b(options);
-  // Grow both past one slice, to different slice counts.
-  for (uint64_t k = 0; k < 300; ++k) a.Add(Mix64(k));
-  for (uint64_t k = 1000; k < 2200; ++k) b.Add(Mix64(k));
-  ASSERT_GT(b.num_slices(), a.num_slices());
-  ASSERT_TRUE(a.UnionFrom(b));
-  for (uint64_t k = 0; k < 300; ++k) EXPECT_TRUE(a.MayContain(Mix64(k)));
-  for (uint64_t k = 1000; k < 2200; ++k) EXPECT_TRUE(a.MayContain(Mix64(k)));
-  EXPECT_EQ(a.num_slices(), b.num_slices());
-}
-
-TEST(ScalableBloomFilterTest, UnionFromRejectsMismatchedOptions) {
-  ScalableBloomFilter::Options options;
-  options.initial_capacity = 64;
-  ScalableBloomFilter a(options);
-  options.fp_rate = 0.02;
-  ScalableBloomFilter b(options);
-  a.Add(5);
-  EXPECT_FALSE(a.UnionFrom(b));
-  EXPECT_TRUE(a.MayContain(5));
-}
-
-TEST(ScalableBloomFilterTest, UnionResultSnapshotRestoreRoundTrips) {
-  // The saturating insertion bookkeeping must keep the merged filter's
-  // snapshot acceptable to Restore (every non-final slice exactly
-  // full), and the restored filter must re-serialize byte-identically.
-  ScalableBloomFilter::Options options;
-  options.initial_capacity = 64;
-  ScalableBloomFilter a(options);
-  ScalableBloomFilter b(options);
-  for (uint64_t k = 0; k < 500; ++k) a.Add(Mix64(k));
-  for (uint64_t k = 5000; k < 5900; ++k) b.Add(Mix64(k));
-  ASSERT_TRUE(a.UnionFrom(b));
-  std::ostringstream out;
-  a.Snapshot(out);
-  ScalableBloomFilter restored(options);
-  std::istringstream in(out.str());
-  ASSERT_TRUE(restored.Restore(in));
-  EXPECT_EQ(restored.num_insertions(), a.num_insertions());
-  for (uint64_t k = 0; k < 500; ++k) EXPECT_TRUE(restored.MayContain(Mix64(k)));
-  for (uint64_t k = 5000; k < 5900; ++k) {
-    EXPECT_TRUE(restored.MayContain(Mix64(k)));
-  }
-  std::ostringstream again;
-  restored.Snapshot(again);
-  EXPECT_EQ(again.str(), out.str());
-}
-
 TEST(BloomFilterTest, BlockedLayoutNoFalseNegatives) {
   BloomFilter filter(5000, 0.01, BloomLayout::kBlocked512);
   EXPECT_EQ(filter.num_bits() % 512, 0u);
@@ -468,13 +371,9 @@ TEST(BloomFilterTest, BlockedLayoutFalsePositiveRateNearDesign) {
   EXPECT_LT(rate, 0.05);
 }
 
-TEST(BloomFilterTest, BlockedLayoutSnapshotRoundTripsAndUnions) {
+TEST(BloomFilterTest, BlockedLayoutSnapshotRoundTrips) {
   BloomFilter a(1000, 0.01, BloomLayout::kBlocked512);
-  BloomFilter b(1000, 0.01, BloomLayout::kBlocked512);
-  for (uint64_t k = 0; k < 600; ++k) a.Add(Mix64(k));
-  for (uint64_t k = 600; k < 1000; ++k) b.Add(Mix64(k));
-  ASSERT_TRUE(a.UnionFrom(b));
-  for (uint64_t k = 0; k < 1000; ++k) EXPECT_TRUE(a.MayContain(Mix64(k)));
+  for (uint64_t k = 0; k < 1000; ++k) a.Add(Mix64(k));
 
   std::ostringstream out;
   a.Snapshot(out);
@@ -491,56 +390,59 @@ TEST(BloomFilterTest, BlockedLayoutSnapshotRoundTripsAndUnions) {
   EXPECT_EQ(again.str(), out.str());
 }
 
-TEST(BloomFilterTest, UnionFromRejectsMismatchedLayout) {
-  BloomFilter flat(1000, 0.01, BloomLayout::kFlatFastrange);
-  BloomFilter blocked(1000, 0.01, BloomLayout::kBlocked512);
-  EXPECT_FALSE(flat.UnionFrom(blocked));
-  EXPECT_FALSE(blocked.UnionFrom(flat));
-}
+TEST(BloomFilterTest, SnapshotWithoutSentinelRejected) {
+  // Every snapshot starts with a zero u64 sentinel and a layout byte.
+  // A payload whose first word is nonzero (the pre-sentinel format) or
+  // whose layout byte is unknown must fail to decode, not crash.
+  BloomFilter filter(256, 0.01);
+  for (uint64_t k = 0; k < 200; ++k) filter.Add(Mix64(k));
+  std::ostringstream filter_out;
+  filter.Snapshot(filter_out);
 
-TEST(BloomFilterTest, LegacySnapshotRestoresAsFlatModulo) {
-  // A snapshot from before the layout flag starts with a nonzero
-  // expected_items u64 and carries bits placed by the modulo mapping.
-  // FromSnapshot must keep probing those bits with the same mapping:
-  // restoring them under fastrange would manufacture false negatives.
-  BloomFilter modulo(256, 0.01, BloomLayout::kFlatModulo);
-  for (uint64_t k = 0; k < 200; ++k) modulo.Add(Mix64(k));
-  std::ostringstream out;
-  modulo.Snapshot(out);  // kFlatModulo writes the legacy byte stream
-  EXPECT_NE(out.str().substr(0, 8), std::string(8, '\0'));
+  // Drop the sentinel and the layout byte: the payload now opens with
+  // the nonzero expected_items word.
+  const std::string unsentineled_filter = filter_out.str().substr(9);
+  ASSERT_NE(unsentineled_filter.substr(0, 8), std::string(8, '\0'));
+  std::istringstream filter_in(unsentineled_filter);
+  EXPECT_EQ(BloomFilter::FromSnapshot(filter_in), nullptr);
 
-  std::istringstream in(out.str());
-  const auto restored = BloomFilter::FromSnapshot(in);
-  ASSERT_NE(restored, nullptr);
-  EXPECT_EQ(restored->layout(), BloomLayout::kFlatModulo);
-  for (uint64_t k = 0; k < 200; ++k) {
-    EXPECT_TRUE(restored->MayContain(Mix64(k)));
+  // Unknown layout bytes: 0 (the removed modulo layout) and 3.
+  for (const char layout : {'\0', '\1', '\3'}) {
+    std::string bytes = filter_out.str();
+    bytes[8] = layout;
+    std::istringstream in(bytes);
+    if (layout == '\1') {
+      EXPECT_NE(BloomFilter::FromSnapshot(in), nullptr);
+    } else {
+      EXPECT_EQ(BloomFilter::FromSnapshot(in), nullptr);
+    }
   }
-  // Legacy payloads re-snapshot byte-identically (no silent upgrade).
-  std::ostringstream again;
-  restored->Snapshot(again);
-  EXPECT_EQ(again.str(), out.str());
 }
 
-TEST(ScalableBloomFilterTest, LegacySnapshotRestoresAsFlatModulo) {
-  ScalableBloomFilter::Options legacy_options;
-  legacy_options.initial_capacity = 64;
-  legacy_options.layout = BloomLayout::kFlatModulo;
-  ScalableBloomFilter legacy(legacy_options);
-  for (uint64_t k = 0; k < 500; ++k) legacy.Add(Mix64(k));
-  std::ostringstream out;
-  legacy.Snapshot(out);
-  EXPECT_NE(out.str().substr(0, 8), std::string(8, '\0'));
+TEST(ScalableBloomFilterTest, SnapshotWithoutSentinelRejected) {
+  // Same framing as BloomFilter: a zero u64 sentinel, then a layout
+  // byte. The scalable filter also rejects the flat layout its slices
+  // never use.
+  ScalableBloomFilter scalable;
+  for (uint64_t k = 0; k < 200; ++k) scalable.Add(Mix64(k));
+  std::ostringstream scalable_out;
+  scalable.Snapshot(scalable_out);
 
-  // A default-constructed (blocked-layout) filter accepts the legacy
-  // payload and adopts its layout wholesale.
+  // Drop the sentinel and the layout byte: the payload now opens with
+  // the nonzero initial_capacity word.
+  const std::string unsentineled_scalable = scalable_out.str().substr(9);
+  ASSERT_NE(unsentineled_scalable.substr(0, 8), std::string(8, '\0'));
   ScalableBloomFilter restored;
-  std::istringstream in(out.str());
-  ASSERT_TRUE(restored.Restore(in));
-  for (uint64_t k = 0; k < 500; ++k) EXPECT_TRUE(restored.MayContain(Mix64(k)));
-  std::ostringstream again;
-  restored.Snapshot(again);
-  EXPECT_EQ(again.str(), out.str());
+  std::istringstream scalable_in(unsentineled_scalable);
+  EXPECT_FALSE(restored.Restore(scalable_in));
+
+  for (const char layout : {'\0', '\1', '\3'}) {
+    std::string scalable_bytes = scalable_out.str();
+    scalable_bytes[8] = layout;
+    std::istringstream scalable_layout_in(scalable_bytes);
+    ScalableBloomFilter target;
+    EXPECT_FALSE(target.Restore(scalable_layout_in));
+  }
 }
 
 TEST(ScalableBloomFilterTest, BlockedDefaultGrowsAndRoundTrips) {
@@ -560,70 +462,6 @@ TEST(ScalableBloomFilterTest, BlockedDefaultGrowsAndRoundTrips) {
   std::ostringstream again;
   restored.Snapshot(again);
   EXPECT_EQ(again.str(), out.str());
-}
-
-TEST(CountingBloomFilterTest, UnionFromNoFalseNegatives) {
-  Rng rng(7);
-  for (int round = 0; round < 10; ++round) {
-    CountingBloomFilter a(2000, 0.01);
-    CountingBloomFilter b(2000, 0.01);
-    std::vector<uint64_t> a_keys;
-    std::vector<uint64_t> b_keys;
-    const size_t na = rng.UniformInt(0, 800);
-    const size_t nb = rng.UniformInt(0, 800);
-    for (size_t i = 0; i < na; ++i) a_keys.push_back(Mix64(rng.NextU64()));
-    for (size_t i = 0; i < nb; ++i) b_keys.push_back(Mix64(rng.NextU64()));
-    for (const uint64_t k : a_keys) a.Add(k);
-    for (const uint64_t k : b_keys) b.Add(k);
-    ASSERT_TRUE(a.UnionFrom(b));
-    for (const uint64_t k : a_keys) EXPECT_TRUE(a.MayContain(k));
-    for (const uint64_t k : b_keys) EXPECT_TRUE(a.MayContain(k));
-  }
-}
-
-TEST(CountingBloomFilterTest, UnionFromSurvivesRemovalOfOneSide) {
-  // Keys folded in from the donor stay removable, and removing them
-  // must never create a false negative for keys still present.
-  CountingBloomFilter a(1000, 0.01);
-  CountingBloomFilter b(1000, 0.01);
-  for (uint64_t k = 0; k < 200; ++k) a.Add(Mix64(k));
-  for (uint64_t k = 1000; k < 1200; ++k) b.Add(Mix64(k));
-  ASSERT_TRUE(a.UnionFrom(b));
-  for (uint64_t k = 1000; k < 1200; ++k) a.Remove(Mix64(k));
-  for (uint64_t k = 0; k < 200; ++k) EXPECT_TRUE(a.MayContain(Mix64(k)));
-}
-
-TEST(ScalableCountingBloomFilterTest, UnionFromMergesAndRestores) {
-  ScalableCountingBloomFilter::Options options;
-  options.initial_capacity = 64;
-  ScalableCountingBloomFilter a(options);
-  ScalableCountingBloomFilter b(options);
-  for (uint64_t k = 0; k < 300; ++k) a.Add(Mix64(k));
-  for (uint64_t k = 2000; k < 3000; ++k) b.Add(Mix64(k));
-  for (uint64_t k = 2000; k < 2050; ++k) b.Remove(Mix64(k));
-  ASSERT_TRUE(a.UnionFrom(b));
-  for (uint64_t k = 0; k < 300; ++k) EXPECT_TRUE(a.MayContain(Mix64(k)));
-  for (uint64_t k = 2050; k < 3000; ++k) EXPECT_TRUE(a.MayContain(Mix64(k)));
-  std::ostringstream out;
-  a.Snapshot(out);
-  ScalableCountingBloomFilter restored(options);
-  std::istringstream in(out.str());
-  ASSERT_TRUE(restored.Restore(in));
-  for (uint64_t k = 0; k < 300; ++k) EXPECT_TRUE(restored.MayContain(Mix64(k)));
-  std::ostringstream again;
-  restored.Snapshot(again);
-  EXPECT_EQ(again.str(), out.str());
-}
-
-TEST(ScalableCountingBloomFilterTest, UnionFromRejectsMismatchedOptions) {
-  ScalableCountingBloomFilter::Options options;
-  options.initial_capacity = 64;
-  ScalableCountingBloomFilter a(options);
-  options.growth = 3.0;
-  ScalableCountingBloomFilter b(options);
-  a.Add(5);
-  EXPECT_FALSE(a.UnionFrom(b));
-  EXPECT_TRUE(a.MayContain(5));
 }
 
 // ---------------------------------------------------------------------------
