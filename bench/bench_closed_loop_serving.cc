@@ -1,5 +1,5 @@
-// Closed-loop serving gate: streams a dataset through the
-// multi-threaded RealtimePipeline (ingest + match execution + cluster
+// Closed-loop serving gate: streams a dataset through a one-shard
+// multi-threaded ShardedPipeline (ingest + match execution + cluster
 // maintenance) while a dedicated query thread hammers the live cluster
 // index with ClusterIdOf/ClusterOf point queries the whole time. This
 // is the production read path under genuine write concurrency -- the
@@ -31,7 +31,7 @@
 
 #include "bench/bench_harness.h"
 #include "obs/metrics.h"
-#include "stream/realtime_pipeline.h"
+#include "stream/sharded_pipeline.h"
 #include "util/rng.h"
 #include "util/stopwatch.h"
 
@@ -58,8 +58,10 @@ RepResult RunRep(const Dataset& dataset, const Matcher& matcher,
   options.strategy = PierStrategy::kIPes;
   options.execution_threads = execution_threads;
   options.metrics = &registry;
-  RealtimePipeline realtime(options, &matcher,
-                            [](ProfileId, ProfileId) {});
+  ShardedOptions sharded;
+  sharded.pipeline = options;
+  ShardedPipeline realtime(sharded, &matcher,
+                           [](ProfileId, ProfileId) {});
 
   // The query thread runs the whole closed loop: it never pauses for
   // ingest, so every query races a concurrent writer. Mixed load:

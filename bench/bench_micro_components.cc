@@ -19,6 +19,7 @@
 #include "similarity/string_distance.h"
 #include "text/tokenizer.h"
 #include "util/bounded_priority_queue.h"
+#include "util/counting_bloom_filter.h"
 #include "util/rng.h"
 #include "util/scalable_bloom_filter.h"
 
@@ -193,29 +194,38 @@ void BM_BoundedPqPushPop(benchmark::State& state) {
 }
 BENCHMARK(BM_BoundedPqPushPop)->Arg(1 << 10)->Arg(1 << 16);
 
+// TestAndAdd from an empty filter; `slices` is how many the growth
+// schedule stacked by the end of the run (the CSV reporter needs the
+// same counters on every row it prints with BM_BloomProbe).
 void BM_ScalableBloomTestAndAdd(benchmark::State& state) {
   ScalableBloomFilter filter;
   Rng rng(2);
   for (auto _ : state) {
     benchmark::DoNotOptimize(filter.TestAndAdd(rng.NextU64() >> 20));
   }
+  state.counters["slices"] = static_cast<double>(filter.num_slices());
 }
 BENCHMARK(BM_ScalableBloomTestAndAdd);
 
-// Probe cost of the two Bloom bit layouts at a fixed sizing: the
-// fastrange multiply and the one-cache-line blocked variant. Arg is
-// the BloomLayout enum value.
+// Probe cost of the two scalable stacks the pipeline runs as its
+// executed-comparison set (1-bit for append-only streams, counting for
+// mutable ones), at default options after 1M keys. A probe of an
+// absent key walks every slice; the `slices` counter reports how many
+// that is, the figure the probe-cost work on the filter layer drives
+// down.
+template <typename Filter>
 void BM_BloomProbe(benchmark::State& state) {
-  const auto layout = static_cast<BloomLayout>(state.range(0));
-  BloomFilter filter(100000, 0.01, layout);
+  Filter filter;
   Rng rng(5);
-  for (uint64_t i = 0; i < 100000; ++i) filter.Add(rng.NextU64());
+  for (uint64_t i = 0; i < 1000000; ++i) filter.Add(rng.NextU64());
   Rng probe(6);
   for (auto _ : state) {
     benchmark::DoNotOptimize(filter.MayContain(probe.NextU64()));
   }
+  state.counters["slices"] = static_cast<double>(filter.num_slices());
 }
-BENCHMARK(BM_BloomProbe)->Arg(1)->Arg(2);
+BENCHMARK_TEMPLATE(BM_BloomProbe, ScalableBloomFilter);
+BENCHMARK_TEMPLATE(BM_BloomProbe, ScalableCountingBloomFilter);
 
 std::vector<TokenId> RandomSortedTokens(Rng& rng, size_t size,
                                         uint32_t universe) {

@@ -4,7 +4,8 @@
 //      the census generator and round-tripped through CSV),
 //   2. let the strategy selector (the paper's future-work heuristic)
 //      pick the prioritizer from a sample of the data,
-//   3. stream the records through the multi-threaded RealtimePipeline,
+//   3. stream the records through a one-shard, multi-threaded
+//      ShardedPipeline,
 //   4. consolidate discovered matches into resolved entities with the
 //      union-find EntityClusters.
 
@@ -19,7 +20,7 @@
 #include "datagen/generators.h"
 #include "eval/entity_clusters.h"
 #include "similarity/matcher.h"
-#include "stream/realtime_pipeline.h"
+#include "stream/sharded_pipeline.h"
 #include "text/tokenizer.h"
 
 int main() {
@@ -73,8 +74,10 @@ int main() {
 
   pier::EntityClusters clusters;
   std::mutex clusters_mutex;
-  pier::RealtimePipeline pipeline(
-      options, &matcher, [&](pier::ProfileId a, pier::ProfileId b) {
+  pier::ShardedOptions sharded;
+  sharded.pipeline = options;
+  pier::ShardedPipeline pipeline(
+      sharded, &matcher, [&](pier::ProfileId a, pier::ProfileId b) {
         std::lock_guard<std::mutex> lock(clusters_mutex);
         clusters.AddMatch(a, b);
       });

@@ -1,8 +1,10 @@
 // The executed-comparison set: every pair already handed to the
-// matcher. It backs both the pipeline (one per PierPipeline, so one
-// per shard engine) and the sharded combiner, which keeps its own to
-// drop a verdict a second shard delivers for the same pair (see
-// stream/sharded_pipeline.h). The pipeline consults it twice per pair:
+// matcher. It backs the pipeline (one per PierPipeline, so one per
+// shard engine), the sharded combiner, which keeps its own to drop a
+// verdict a second shard delivers for the same pair (see
+// stream/sharded_pipeline.h), and I-PBS's comparison filter CF over
+// already-scheduled pairs (core/i_pbs.h). The pipeline consults it
+// twice per pair:
 //
 //   * at scan time, read-only (Contains): the block scanner skips a
 //     pair the set already holds before weighting it, so re-offering a
@@ -12,7 +14,8 @@
 //     suppresses pairs queued twice or generated again by a later
 //     increment's delta.
 //
-// One of three representations backs it, fixed at construction:
+// One of three representations backs it, fixed at construction; only
+// that one is built:
 //   * an exact hash set (the `exact_executed_filter` ablation: never
 //     drops a pair, grows without bound);
 //   * a scalable Bloom filter (append-only streams: bounded-error,
@@ -30,6 +33,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <unordered_set>
+#include <variant>
 
 #include "model/pair_registry.h"
 #include "model/types.h"
@@ -68,13 +72,25 @@ class ExecutedSet {
   size_t ApproxMemoryBytes() const;
 
  private:
-  enum class Mode : uint8_t { kExact, kBloom, kCounting };
+  // The exact representation, with the filters' interface.
+  class ExactKeys {
+   public:
+    bool MayContain(uint64_t key) const { return keys_.count(key) != 0; }
+    bool TestAndAdd(uint64_t key) { return !keys_.insert(key).second; }
+    bool Remove(uint64_t key) { return keys_.erase(key) != 0; }
+    // The keys sorted, for canonical bytes (hash-set iteration order
+    // varies).
+    void Snapshot(std::ostream& out) const;
+    bool Restore(std::istream& in);
+    size_t ApproxMemoryBytes() const;
 
-  Mode mode_ = Mode::kBloom;
+   private:
+    std::unordered_set<uint64_t> keys_;
+  };
+
+  std::variant<ExactKeys, ScalableBloomFilter, ScalableCountingBloomFilter>
+      keys_;
   bool mutable_stream_;
-  std::unordered_set<uint64_t> exact_;
-  ScalableBloomFilter bloom_;
-  ScalableCountingBloomFilter counting_;
   PairRegistry registry_;
 };
 

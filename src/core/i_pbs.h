@@ -5,8 +5,9 @@
 // comparisons (CI) and the unexecuted profiles (PI); on every update
 // the block yielding the fewest unexecuted comparisons is scheduled,
 // its comparisons entering the global CmpIndex with a composite
-// (block size, CBS weight) priority. A scalable Bloom filter CF
-// suppresses redundant comparisons [16].
+// (block size, CBS weight) priority. The comparison filter CF, a
+// scalable Bloom filter held as an ExecutedSet, suppresses redundant
+// comparisons [16].
 
 #ifndef PIER_CORE_I_PBS_H_
 #define PIER_CORE_I_PBS_H_
@@ -18,12 +19,10 @@
 #include <utility>
 #include <vector>
 
+#include "core/executed_set.h"
 #include "core/prioritizer.h"
 #include "model/comparison.h"
-#include "model/pair_registry.h"
 #include "util/bounded_priority_queue.h"
-#include "util/counting_bloom_filter.h"
-#include "util/scalable_bloom_filter.h"
 
 namespace pier {
 
@@ -49,10 +48,6 @@ class IPbs : public IncrementalPrioritizer {
   // entries (lines 15-16).
   void ScheduleBlock(TokenId token, WorkStats* stats);
 
-  // Tests `c` against the active comparison filter and records it when
-  // freshly added. Returns true when the comparison is redundant.
-  bool FilterTestAndAdd(const Comparison& c);
-
   PrioritizerContext ctx_;
   PrioritizerOptions options_;
 
@@ -67,15 +62,12 @@ class IPbs : public IncrementalPrioritizer {
   std::set<std::pair<uint64_t, TokenId>> min_index_;
 
   // CF: redundancy filter over already-scheduled pairs. Append-only
-  // streams use the plain scalable filter; mutable streams (deletes /
+  // streams use the 1-bit scalable filter; mutable streams (deletes /
   // corrections) use the counting variant plus a pair registry so
   // OnRetract can withdraw a retracted profile's keys and a corrected
-  // profile's comparisons reschedule. Only the active pair is
-  // serialized; the snapshot format is selected by
+  // profile's comparisons reschedule. The snapshot format follows
   // options_.mutable_stream (part of the pipeline fingerprint).
-  ScalableBloomFilter comparison_filter_;
-  ScalableCountingBloomFilter counting_filter_;
-  PairRegistry filter_pairs_;
+  ExecutedSet cf_;
 
   BoundedPriorityQueue<Comparison, CompareByBlockThenWeight> index_;
 };

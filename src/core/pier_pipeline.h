@@ -75,7 +75,7 @@ struct PierOptions {
   // executed-comparison filter (ablation knob; exact never drops a
   // pair but grows without bound).
   bool exact_executed_filter = false;
-  // Worker threads for match execution (RealtimePipeline and other
+  // Worker threads for match execution (ShardedPipeline and other
   // executor-based deployments). 1 = sequential. The verdict stream is
   // deterministic and identical for every value (see
   // similarity/parallel_executor.h).

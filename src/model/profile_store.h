@@ -5,7 +5,7 @@
 // once a profile is in the store, `Get(id)` returns the same reference
 // forever. This is what lets the parallel match executor read profiles
 // lock-free while an ingest thread appends new ones (the realtime
-// pipeline's threading model, see stream/realtime_pipeline.h):
+// pipeline's threading model, see stream/sharded_pipeline.h):
 //
 //  * single writer: Add must be called by one thread at a time (the
 //    pipeline serializes ingest under its mutex);

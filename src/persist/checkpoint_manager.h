@@ -2,7 +2,7 @@
 // fsync + rename, then a directory fsync) so a crash at any instant
 // leaves either the previous checkpoint set or the new one -- never a
 // torn file -- and rotates the directory down to the newest N
-// checkpoints. The StreamSimulator and RealtimePipeline drive it via
+// checkpoints. The StreamSimulator and ShardedPipeline drive it via
 // their checkpoint_dir / checkpoint_every options; `pier_cli
 // --resume-from` restores from the files it writes.
 //

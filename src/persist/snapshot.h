@@ -52,8 +52,8 @@ inline constexpr char kMagic[8] = {'P', 'I', 'E', 'R', 'S', 'N', 'A', 'P'};
 // Version 2 added the 'pier.clusters' / 'sim.clusters' sections (the
 // online cluster index / cluster-recall state). Version 3: the sharded
 // ingest path (stream/sharded_pipeline.h) writes 'sharded.*' router
-// sections plus one 'shard<i>.*' family per shard engine, and the
-// RealtimePipeline (the one-shard case) checkpoints in that layout.
+// sections plus one 'shard<i>.*' family per shard engine, the
+// one-shard case included.
 // Only v3 is read: every restore requires its cluster section, and
 // the Bloom payloads of earlier files predate the layout sentinel.
 inline constexpr uint32_t kFormatVersion = 3;

@@ -448,8 +448,8 @@ void ShardedPipeline::CombinerLoop() {
   // With one shard there is nothing to dedup: the shard's own
   // executed-comparison filter already guarantees exactly-once
   // delivery, and skipping the global filter keeps the N = 1 verdict
-  // stream bit-identical to the classic RealtimePipeline (no second
-  // Bloom filter that could drop a pair).
+  // stream bit-identical to the shard's own (no second Bloom filter
+  // that could drop a pair).
   const bool dedup = options_.shard_count > 1;
   std::vector<std::pair<ProfileId, ProfileId>> matched;
   VerdictBatch batch;

@@ -3,9 +3,12 @@
 // queues, with a combiner stage merging the per-shard verdict streams
 // into one serving ClusterIndex and match callback. This is the
 // continuous-query scheduler/combiner split of streaming systems
-// applied to progressive ER, and it is what lets ingest scale past the
-// single worker of the one-mutex RealtimePipeline (which is now the
-// N = 1 instantiation of this class).
+// applied to progressive ER, and it is what lets ingest scale past a
+// single worker. With N = 1 (the default) it is the realtime
+// deployment: one shard worker running the emit -> match loop over a
+// bounded microbatch queue, mirroring the paper's asynchronous
+// Akka-Streams deployment, while the discrete-event StreamSimulator
+// remains the tool for reproducible evaluation.
 //
 // Routing invariant: every block key (token) is owned by exactly one
 // shard -- Mix64(HashString(token)) % N -- and a block lives wholly in
@@ -88,7 +91,8 @@ struct ShardedOptions {
   // realtime.* / shard.* pipeline metrics plus every sub-component's
   // (aggregated across shards for same-named stage counters).
   PierOptions pipeline;
-  // Number of shard workers (1 = the classic RealtimePipeline).
+  // Number of shard workers (1 = the single-worker realtime
+  // deployment).
   size_t shard_count = 1;
   // Bounded microbatch queue depth per shard; a full queue blocks
   // Ingest (backpressure).

@@ -3,23 +3,21 @@
 // the comparison filter CF of the I-PBS algorithm (Algorithm 3 of the
 // paper; technique from Gazzarri & Herschel, EDBT 2020 [16]).
 //
-// Two bit layouts share the class (see BloomLayout):
+// Split-block layout: one fastrange hash picks a 512-bit block (one
+// cache line); all k probe bits land inside that block, addressed by
+// 9-bit slices of the second hash. A query touches exactly one cache
+// line instead of k, at the cost of a slightly higher false-positive
+// rate for the same bit count (~1.2-2x at typical k; the scalable
+// wrapper's tightening schedule absorbs it). This is the layout the
+// executed-comparison filter uses at paper scale.
 //
-//  - kFlatFastrange: k double-hashed probes over the whole array, each
-//    mapped with Lemire's fastrange ((h * num_bits) >> 64) -- a
-//    multiply instead of a divide.
-//  - kBlocked512: split-block layout. One fastrange hash picks a
-//    512-bit block (one cache line); all k probe bits land inside
-//    that block, addressed by 9-bit slices of the second hash. A
-//    query touches exactly one cache line instead of k, at the cost
-//    of a slightly higher false-positive rate for the same bit count
-//    (~1.2-2x at typical k; the scalable wrapper's tightening
-//    schedule absorbs it). This is the layout the executed-comparison
-//    filter uses at paper scale.
+// The snapshot opens with a zero u64 sentinel and the layout byte 2,
+// then the sizing fields. Only the one layout exists; the two header
+// fields are kept so the bytes stay those of earlier files, and
+// FromSnapshot rejects any other leading word or layout byte.
 //
-// The layouts place bits differently, so the layout is part of the
-// snapshot: a zero u64 sentinel, then the layout byte, then the
-// sizing fields. FromSnapshot rejects any other leading word.
+// SizeBloom is the one sizing rule of every Bloom filter in the
+// engine, this one and the counting filter (counting_bloom_filter.h).
 
 #ifndef PIER_UTIL_BLOOM_FILTER_H_
 #define PIER_UTIL_BLOOM_FILTER_H_
@@ -28,25 +26,37 @@
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
+#include <optional>
 #include <vector>
-
-#include "util/check.h"
-#include "util/hashing.h"
 
 namespace pier {
 
-// Wire values; 0 is unused.
-enum class BloomLayout : uint8_t {
-  kFlatFastrange = 1,
-  kBlocked512 = 2,
+// Cell (bit or counter) count and hash count of one Bloom filter.
+struct BloomSizing {
+  size_t cells = 0;
+  int hashes = 0;
+
+  bool operator==(const BloomSizing&) const = default;
 };
+
+// Snapshot readers accept at most this many hashes per key.
+inline constexpr int kMaxBloomHashes = 255;
+
+// The sizing rule: m = ceil(-n ln p / ln^2 2) cells for `n` keys at
+// false-positive rate `p`, raised to at least `min_cells` and to a
+// multiple of `align`; then k = round(m / n * ln 2) hashes from the
+// raised m (deriving k from the unraised m under-hashes a tiny
+// filter's clamped array), within [1, kMaxBloomHashes]. Returns
+// nullopt when n is 0, p lies outside (0, 1), or m would exceed 1e18
+// -- snapshot validators rely on that instead of allocating.
+std::optional<BloomSizing> SizeBloom(size_t n, double p, size_t min_cells,
+                                     size_t align);
 
 class BloomFilter {
  public:
   // Sizes the filter for `expected_items` insertions at false-positive
   // probability `fp_rate` (0 < fp_rate < 1).
-  BloomFilter(size_t expected_items, double fp_rate,
-              BloomLayout layout = BloomLayout::kFlatFastrange);
+  BloomFilter(size_t expected_items, double fp_rate);
 
   // Inserts a key. Counts insertions so the owner can detect when the
   // filter reaches its design capacity.
@@ -60,15 +70,16 @@ class BloomFilter {
   size_t expected_items() const { return expected_items_; }
   bool AtCapacity() const { return num_insertions_ >= expected_items_; }
 
-  size_t num_bits() const { return num_bits_; }
-  int num_hashes() const { return num_hashes_; }
-  BloomLayout layout() const { return layout_; }
+  size_t num_bits() const { return sizing_.cells; }
+  int num_hashes() const { return sizing_.hashes; }
+  const BloomSizing& sizing() const { return sizing_; }
 
   // Estimated memory footprint in bytes.
   size_t MemoryBytes() const { return bits_.size() * sizeof(uint64_t); }
 
-  // Serializes the sentinel and layout, sizing parameters, insertion
-  // count, and the bit array (little-endian; see util/serial.h).
+  // Serializes the sentinel and layout byte, sizing parameters,
+  // insertion count, and the bit array (little-endian; see
+  // util/serial.h).
   void Snapshot(std::ostream& out) const;
 
   // Reconstructs a filter from a Snapshot payload; null on any decode
@@ -76,12 +87,18 @@ class BloomFilter {
   // recorded bit count).
   static std::unique_ptr<BloomFilter> FromSnapshot(std::istream& in);
 
-  // Mirror of the constructor's sizing, exposed so a snapshot reader
-  // can validate recorded dimensions without allocating: the (bits,
-  // hashes) this class picks for the given parameters.
-  static void ExpectedSizing(size_t expected_items, double fp_rate,
-                             BloomLayout layout, size_t* num_bits,
-                             int* num_hashes);
+  // SizeBloom at whole 512-bit blocks: the sizing the constructor
+  // picks, exposed so a snapshot reader can validate recorded
+  // dimensions without allocating.
+  static std::optional<BloomSizing> Sizing(size_t expected_items,
+                                           double fp_rate);
+
+  // Hooks for the scalable stack (scalable_bloom_filter.h): its
+  // snapshot opens with the same sentinel and layout byte as a
+  // slice's, and it has no Remove.
+  static void WriteStackHeader(std::ostream& out);
+  static bool ReadStackHeader(std::istream& in);
+  static constexpr bool kRemovable = false;
 
  private:
   static constexpr size_t kBlockBits = 512;
@@ -96,21 +113,8 @@ class BloomFilter {
         (static_cast<unsigned __int128>(h) * n) >> 64);
   }
 
-  size_t BitIndex(uint64_t h1, uint64_t h2, int i) const {
-    // Double hashing: g_i(x) = h1 + i * h2 (Kirsch & Mitzenmacher).
-    const uint64_t g = h1 + static_cast<uint64_t>(i) * h2;
-    // Fastrange keeps only the HIGH bits of its input, and those step
-    // arithmetically across the probe sequence (step = top bits of
-    // h2), clustering the probes whenever that step is small. One
-    // extra mix decorrelates them and is still far cheaper than a
-    // modulo divide.
-    return FastRange(Mix64(g), num_bits_);
-  }
-
-  BloomLayout layout_ = BloomLayout::kFlatFastrange;
   size_t expected_items_ = 0;
-  size_t num_bits_ = 0;
-  int num_hashes_ = 0;
+  BloomSizing sizing_;
   size_t num_insertions_ = 0;
   std::vector<uint64_t> bits_;
 };

@@ -1,5 +1,5 @@
 // Deletable set membership for mutable streams: a scalable Bloom
-// filter (same slice-growth / error-tightening schedule as
+// filter (the one slice-growth / error-tightening schedule of
 // scalable_bloom_filter.h) whose slices store 2-bit saturating
 // counters instead of single bits, so keys can be removed again.
 //
@@ -10,8 +10,8 @@
 // delete-then-replay oracle would diverge.
 //
 // Counter layout: 2 bits per cell (32 cells per uint64_t word), cell
-// count and hash count derived exactly like BloomFilter derives them
-// from (expected_items, fp_rate). A counter that reaches 3 saturates
+// count and hash count from the one sizing rule (SizeBloom in
+// bloom_filter.h) at a 64-cell floor. A counter that reaches 3 saturates
 // and becomes sticky: it is never decremented again, which preserves
 // the no-false-negatives guarantee for keys still present at the cost
 // of the filter slowly densifying under heavy churn (the fraction of
@@ -28,15 +28,18 @@
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
+#include <optional>
 #include <vector>
+
+#include "util/bloom_filter.h"
+#include "util/scalable_bloom_filter.h"
 
 namespace pier {
 
 class CountingBloomFilter {
  public:
   // Sizes the filter for `expected_items` insertions at false-positive
-  // probability `fp_rate`, with the same cell/hash counts a
-  // BloomFilter of identical parameters would use.
+  // probability `fp_rate` (see Sizing).
   CountingBloomFilter(size_t expected_items, double fp_rate);
 
   void Add(uint64_t key);
@@ -55,8 +58,7 @@ class CountingBloomFilter {
   // the realized error rate drift above design.
   bool AtCapacity() const { return num_insertions_ >= expected_items_; }
 
-  size_t num_cells() const { return num_cells_; }
-  int num_hashes() const { return num_hashes_; }
+  const BloomSizing& sizing() const { return sizing_; }
 
   size_t MemoryBytes() const { return words_.size() * sizeof(uint64_t); }
 
@@ -66,11 +68,21 @@ class CountingBloomFilter {
   // constructor would have produced.
   static std::unique_ptr<CountingBloomFilter> FromSnapshot(std::istream& in);
 
+  // SizeBloom with a 64-cell floor, the sizing the constructor picks.
+  static std::optional<BloomSizing> Sizing(size_t expected_items,
+                                           double fp_rate);
+
+  // Hooks for the scalable stack (scalable_bloom_filter.h): no header
+  // of its own, and Remove.
+  static void WriteStackHeader(std::ostream&) {}
+  static bool ReadStackHeader(std::istream&) { return true; }
+  static constexpr bool kRemovable = true;
+
  private:
   CountingBloomFilter() = default;  // for FromSnapshot
 
   size_t CellIndex(uint64_t h1, uint64_t h2, int i) const {
-    return (h1 + static_cast<uint64_t>(i) * h2) % num_cells_;
+    return (h1 + static_cast<uint64_t>(i) * h2) % sizing_.cells;
   }
   uint32_t CellValue(size_t cell) const {
     return static_cast<uint32_t>(words_[cell >> 5] >> ((cell & 31) * 2)) & 3u;
@@ -83,65 +95,15 @@ class CountingBloomFilter {
   }
 
   size_t expected_items_ = 0;
-  size_t num_cells_ = 0;
-  int num_hashes_ = 0;
+  BloomSizing sizing_;
   size_t num_insertions_ = 0;
   size_t num_removals_ = 0;
   std::vector<uint64_t> words_;
 };
 
-// Scalable wrapper mirroring ScalableBloomFilter's growth schedule and
-// Snapshot/Restore framing, plus Remove.
-class ScalableCountingBloomFilter {
- public:
-  struct Options {
-    size_t initial_capacity = 4096;
-    double fp_rate = 0.01;
-    double growth = 2.0;
-    double tightening = 0.9;
-  };
-
-  ScalableCountingBloomFilter() : ScalableCountingBloomFilter(Options()) {}
-  explicit ScalableCountingBloomFilter(const Options& options);
-
-  void Add(uint64_t key);
-
-  // Removes the key from the newest slice that may contain it (a key
-  // lives in exactly one slice, and newer slices hold most keys).
-  // When the picked slice is a false-positive hit the true slice keeps
-  // the key -- it lingers, the safe direction -- at the cost of a few
-  // collateral cell decrements, with probability bounded by the
-  // tightened per-slice error rates. Returns true if a slice was
-  // decremented.
-  bool Remove(uint64_t key);
-
-  bool MayContain(uint64_t key) const;
-
-  // Returns true if the key was (possibly) already present; otherwise
-  // inserts it and returns false.
-  bool TestAndAdd(uint64_t key);
-
-  size_t num_slices() const { return slices_.size(); }
-  size_t num_insertions() const { return num_insertions_; }
-  size_t num_removals() const { return num_removals_; }
-  size_t MemoryBytes() const;
-  size_t ApproxMemoryBytes() const;
-
-  void Snapshot(std::ostream& out) const;
-
-  // Restores a Snapshot payload, validating options and every slice's
-  // sizing/insertion bookkeeping against what the growth schedule
-  // would have produced. Returns false on any failure.
-  bool Restore(std::istream& in);
-
- private:
-  void AddSlice();
-
-  Options options_;
-  std::vector<std::unique_ptr<CountingBloomFilter>> slices_;
-  size_t num_insertions_ = 0;
-  size_t num_removals_ = 0;
-};
+// The growth schedule over counting slices: ScalableBloomFilter's
+// schedule and framing, plus Remove and a removal count.
+using ScalableCountingBloomFilter = ScalableFilter<CountingBloomFilter>;
 
 }  // namespace pier
 

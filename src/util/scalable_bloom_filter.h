@@ -3,16 +3,23 @@
 // tightening error probability, so the compound false-positive rate
 // stays bounded no matter how many keys are inserted.
 //
-// The PIER framework uses it as the comparison filter CF of I-PBS
-// (Algorithm 3) and as the pipeline-level executed-comparison filter:
-// on an unbounded stream the set of executed comparisons grows without
-// limit, so an exact hash set would exhaust memory while this filter
-// keeps a small, bounded-error footprint.
+// ScalableFilter is that growth schedule, written once over its slice
+// type; the engine instantiates it twice:
+//   * ScalableBloomFilter, over 1-bit blocked slices (bloom_filter.h):
+//     the comparison filter CF of I-PBS (Algorithm 3) and the
+//     executed-comparison set of append-only streams. On an unbounded
+//     stream the set of executed comparisons grows without limit, so
+//     an exact hash set would exhaust memory while this filter keeps a
+//     small, bounded-error footprint. One cache line per probe beats k
+//     scattered lines (see bloom_filter.h for the FP-rate trade).
+//   * ScalableCountingBloomFilter, over 2-bit counting slices
+//     (counting_bloom_filter.h), which adds Remove for mutable
+//     streams.
 //
-// Every slice uses the cache-line-blocked layout: the executed-
-// comparison filter is probed once per emitted comparison, and one
-// cache line per probe beats k scattered lines (see bloom_filter.h for
-// the FP-rate trade).
+// Wire format: the slice type's stack header (the 1-bit slices' zero
+// sentinel and layout byte; nothing for counting slices), the options,
+// the insertion count, the removal count (counting slices only), the
+// slice count, and every slice's own snapshot.
 
 #ifndef PIER_UTIL_SCALABLE_BLOOM_FILTER_H_
 #define PIER_UTIL_SCALABLE_BLOOM_FILTER_H_
@@ -27,22 +34,30 @@
 
 namespace pier {
 
-class ScalableBloomFilter {
- public:
-  struct Options {
-    // Capacity of the first slice.
-    size_t initial_capacity = 4096;
-    // Compound false-positive probability target.
-    double fp_rate = 0.01;
-    // Capacity growth factor between consecutive slices.
-    double growth = 2.0;
-    // Error-tightening ratio r: slice i gets error p0 * r^i with
-    // p0 = fp_rate * (1 - r).
-    double tightening = 0.9;
-  };
+struct ScalableFilterOptions {
+  // Capacity of the first slice.
+  size_t initial_capacity = 4096;
+  // Compound false-positive probability target.
+  double fp_rate = 0.01;
+  // Capacity growth factor between consecutive slices.
+  double growth = 2.0;
+  // Error-tightening ratio r: slice i gets error p0 * r^i with
+  // p0 = fp_rate * (1 - r).
+  double tightening = 0.9;
+};
 
-  ScalableBloomFilter() : ScalableBloomFilter(Options()) {}
-  explicit ScalableBloomFilter(const Options& options);
+// `Slice` provides the constructor (expected_items, fp_rate), Add,
+// MayContain, AtCapacity, expected_items, num_insertions, sizing,
+// MemoryBytes, Snapshot, FromSnapshot, the static Sizing rule, the
+// WriteStackHeader / ReadStackHeader hooks and kRemovable (with Remove
+// when set).
+template <typename Slice>
+class ScalableFilter {
+ public:
+  using Options = ScalableFilterOptions;
+
+  ScalableFilter() : ScalableFilter(Options()) {}
+  explicit ScalableFilter(const Options& options);
 
   // Adds a key (always to the most recent slice, growing a new slice
   // when the current one reaches its design capacity).
@@ -59,33 +74,49 @@ class ScalableBloomFilter {
   // check-then-mark usage.
   bool TestAndAdd(uint64_t key);
 
+  // Removes the key from the newest slice that may contain it (a key
+  // lives in exactly one slice, and newer slices hold most keys).
+  // Decrementing every claiming slice would let a false-positive hit
+  // in a sibling slice clear cells owned by live keys -- a false
+  // negative. When the picked slice is itself a false-positive hit
+  // the true slice keeps the key -- it lingers, the safe direction --
+  // at the cost of a few collateral cell decrements, with probability
+  // bounded by the tightened per-slice error rates. Returns true if a
+  // slice was decremented.
+  bool Remove(uint64_t key)
+    requires Slice::kRemovable;
+
   size_t num_slices() const { return slices_.size(); }
   size_t num_insertions() const { return num_insertions_; }
+  // Always 0 for slices without Remove.
+  size_t num_removals() const { return num_removals_; }
   size_t MemoryBytes() const;
 
-  // Heap footprint estimate: slice bit arrays plus the slice vector
-  // itself (exported as a persist.state_bytes gauge).
+  // Heap footprint estimate: slice arrays plus the slice vector itself
+  // (exported as a persist.state_bytes gauge).
   size_t ApproxMemoryBytes() const;
 
-  // Serializes a zero sentinel and the layout byte (kept so the bytes
-  // match filters that recorded their layout), options, insertion
-  // count, and every slice.
   void Snapshot(std::ostream& out) const;
 
   // Replaces this filter's entire state from a Snapshot payload
   // (including the options, which are validated against the
-  // constructor's ranges). Returns false on any decode failure,
-  // leaving the filter in an unspecified-but-valid state. A layout
-  // byte other than kBlocked512 is a decode failure.
+  // constructor's ranges), checking every slice against the growth
+  // schedule: its sizing, that every non-final slice is full, and that
+  // the slices' insertions sum to the recorded count. Returns false on
+  // any decode failure, leaving the filter in an
+  // unspecified-but-valid state.
   bool Restore(std::istream& in);
 
  private:
   void AddSlice();
 
   Options options_;
-  std::vector<std::unique_ptr<BloomFilter>> slices_;
+  std::vector<std::unique_ptr<Slice>> slices_;
   size_t num_insertions_ = 0;
+  size_t num_removals_ = 0;
 };
+
+using ScalableBloomFilter = ScalableFilter<BloomFilter>;
 
 }  // namespace pier
 

@@ -25,7 +25,7 @@
 #include "model/ground_truth.h"
 #include "obs/metrics.h"
 #include "serve/cluster_index.h"
-#include "stream/realtime_pipeline.h"
+#include "stream/sharded_pipeline.h"
 #include "util/rng.h"
 
 namespace pier {
@@ -461,11 +461,13 @@ TEST(ClusterIndexTest, RealtimePipelineServesItsOwnMatches) {
   const JaccardMatcher matcher(0.4);
   std::mutex mu;
   std::vector<std::pair<ProfileId, ProfileId>> found;
-  RealtimePipeline realtime(options, &matcher,
-                            [&](ProfileId a, ProfileId b) {
-                              std::lock_guard<std::mutex> lock(mu);
-                              found.emplace_back(a, b);
-                            });
+  ShardedOptions sharded;
+  sharded.pipeline = options;
+  ShardedPipeline realtime(sharded, &matcher,
+                           [&](ProfileId a, ProfileId b) {
+                             std::lock_guard<std::mutex> lock(mu);
+                             found.emplace_back(a, b);
+                           });
   const auto increments = SplitIntoIncrements(d, 4);
   for (const auto& inc : increments) {
     std::vector<EntityProfile> batch(

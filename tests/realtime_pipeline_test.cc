@@ -1,6 +1,7 @@
-// Tests for the multi-threaded RealtimePipeline wrapper: matches are
-// delivered via callback, Drain() waits for quiescence, and concurrent
-// ingest is safe.
+// Tests for the single-shard realtime deployment (a ShardedPipeline
+// with the default shard_count of 1): matches are delivered via
+// callback, Drain() waits for quiescence, and concurrent ingest is
+// safe.
 
 #include <atomic>
 #include <filesystem>
@@ -8,12 +9,13 @@
 #include <mutex>
 #include <set>
 #include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
 #include "datagen/generators.h"
 #include "persist/checkpoint_manager.h"
-#include "stream/realtime_pipeline.h"
+#include "stream/sharded_pipeline.h"
 
 namespace pier {
 namespace {
@@ -25,15 +27,22 @@ PierOptions Options(DatasetKind kind) {
   return options;
 }
 
+// The realtime deployment: a ShardedPipeline at its default one shard.
+ShardedOptions OneShard(PierOptions pipeline) {
+  ShardedOptions options;
+  options.pipeline = std::move(pipeline);
+  return options;
+}
+
 TEST(RealtimePipelineTest, FindsDuplicatesAcrossIncrements) {
   const JaccardMatcher matcher(0.5);
   std::mutex mu;
   std::set<uint64_t> found;
-  RealtimePipeline pipeline(Options(DatasetKind::kDirty), &matcher,
-                            [&](ProfileId a, ProfileId b) {
-                              std::lock_guard<std::mutex> lock(mu);
-                              found.insert(PairKey(a, b));
-                            });
+  ShardedPipeline pipeline(OneShard(Options(DatasetKind::kDirty)), &matcher,
+                           [&](ProfileId a, ProfileId b) {
+                             std::lock_guard<std::mutex> lock(mu);
+                             found.insert(PairKey(a, b));
+                           });
   pipeline.Ingest({EntityProfile(0, 0, {{"n", "john smith lives here"}})});
   pipeline.Ingest({EntityProfile(1, 0, {{"n", "john smith lives there"}}),
                    EntityProfile(2, 0, {{"n", "completely different"}})});
@@ -46,8 +55,8 @@ TEST(RealtimePipelineTest, FindsDuplicatesAcrossIncrements) {
 TEST(RealtimePipelineTest, DrainIsIdempotentAndCountsAreConsistent) {
   const JaccardMatcher matcher(0.5);
   std::atomic<int> callbacks{0};
-  RealtimePipeline pipeline(Options(DatasetKind::kDirty), &matcher,
-                            [&](ProfileId, ProfileId) { ++callbacks; });
+  ShardedPipeline pipeline(OneShard(Options(DatasetKind::kDirty)), &matcher,
+                           [&](ProfileId, ProfileId) { ++callbacks; });
   pipeline.Ingest({EntityProfile(0, 0, {{"n", "dup token alpha"}}),
                    EntityProfile(1, 0, {{"n", "dup token alpha"}})});
   pipeline.Drain();
@@ -65,8 +74,8 @@ TEST(RealtimePipelineTest, StreamsGeneratedDataset) {
 
   const JaccardMatcher matcher(0.35);
   std::atomic<uint64_t> matches{0};
-  RealtimePipeline pipeline(Options(d.kind), &matcher,
-                            [&](ProfileId, ProfileId) { ++matches; });
+  ShardedPipeline pipeline(OneShard(Options(d.kind)), &matcher,
+                           [&](ProfileId, ProfileId) { ++matches; });
   const auto increments = SplitIntoIncrements(d, 12);
   for (const auto& inc : increments) {
     std::vector<EntityProfile> profiles(
@@ -96,11 +105,11 @@ TEST(RealtimePipelineTest, ParallelExecutionFindsDuplicates) {
   options.execution_threads = 4;
   std::mutex mu;
   std::set<uint64_t> found;
-  RealtimePipeline pipeline(options, &matcher,
-                            [&](ProfileId a, ProfileId b) {
-                              std::lock_guard<std::mutex> lock(mu);
-                              found.insert(PairKey(a, b));
-                            });
+  ShardedPipeline pipeline(OneShard(options), &matcher,
+                           [&](ProfileId a, ProfileId b) {
+                             std::lock_guard<std::mutex> lock(mu);
+                             found.insert(PairKey(a, b));
+                           });
   EXPECT_EQ(pipeline.execution_threads(), 4u);
   const auto increments = SplitIntoIncrements(d, 12);
   for (const auto& inc : increments) {
@@ -125,8 +134,8 @@ TEST(RealtimePipelineTest, ConcurrentIngestWhileMatchingInParallel) {
   PierOptions options = Options(d.kind);
   options.execution_threads = 4;
   std::atomic<uint64_t> matches{0};
-  RealtimePipeline pipeline(options, &matcher,
-                            [&](ProfileId, ProfileId) { ++matches; });
+  ShardedPipeline pipeline(OneShard(options), &matcher,
+                           [&](ProfileId, ProfileId) { ++matches; });
   const auto increments = SplitIntoIncrements(d, 60);
   for (const auto& inc : increments) {
     std::vector<EntityProfile> profiles(
@@ -145,8 +154,8 @@ TEST(RealtimePipelineTest, DestructionWhileBusyIsSafe) {
   const Dataset d = GenerateCensus(data_options);
   const JaccardMatcher matcher(0.35);
   {
-    RealtimePipeline pipeline(Options(d.kind), &matcher,
-                              [](ProfileId, ProfileId) {});
+    ShardedPipeline pipeline(OneShard(Options(d.kind)), &matcher,
+                             [](ProfileId, ProfileId) {});
     std::vector<EntityProfile> all = d.profiles;
     pipeline.Ingest(std::move(all));
     // Destructor runs while the worker may still be mid-stream.
@@ -177,8 +186,8 @@ TEST(RealtimePipelineTest, CheckpointAndRestoreAcrossInstances) {
   // drain so the checkpointed state is quiescent (no in-flight batch
   // to lose), then checkpoint the 5th ingest and shut down.
   {
-    RealtimePipeline pipeline(Options(d.kind), &matcher,
-                              [](ProfileId, ProfileId) {});
+    ShardedPipeline pipeline(OneShard(Options(d.kind)), &matcher,
+                             [](ProfileId, ProfileId) {});
     pipeline.EnableCheckpoints(dir.string(), /*every=*/5, /*keep=*/2);
     for (size_t i = 0; i + 1 < 5; ++i) pipeline.Ingest(slice(increments[i]));
     pipeline.Drain();
@@ -193,11 +202,11 @@ TEST(RealtimePipelineTest, CheckpointAndRestoreAcrossInstances) {
   // restored blocking/prioritizer state is what makes them reachable.
   std::mutex mu;
   std::set<uint64_t> found;
-  RealtimePipeline restored(Options(d.kind), &matcher,
-                            [&](ProfileId a, ProfileId b) {
-                              std::lock_guard<std::mutex> lock(mu);
-                              found.insert(PairKey(a, b));
-                            });
+  ShardedPipeline restored(OneShard(Options(d.kind)), &matcher,
+                           [&](ProfileId a, ProfileId b) {
+                             std::lock_guard<std::mutex> lock(mu);
+                             found.insert(PairKey(a, b));
+                           });
   {
     std::ifstream snapshot(*latest, std::ios::binary);
     std::string error;
@@ -231,8 +240,8 @@ TEST(RealtimePipelineTest, CheckpointAndRestoreAcrossInstances) {
 
 TEST(RealtimePipelineTest, IngestAfterStopIsRejected) {
   const JaccardMatcher matcher(0.5);
-  RealtimePipeline pipeline(Options(DatasetKind::kDirty), &matcher,
-                            [](ProfileId, ProfileId) {});
+  ShardedPipeline pipeline(OneShard(Options(DatasetKind::kDirty)), &matcher,
+                           [](ProfileId, ProfileId) {});
   EXPECT_TRUE(
       pipeline.Ingest({EntityProfile(0, 0, {{"n", "alpha beta gamma"}})}));
   pipeline.Drain();
@@ -255,7 +264,8 @@ TEST(RealtimePipelineTest, IngestAfterFailedRestoreIsRejected) {
   {
     PierOptions options = Options(DatasetKind::kDirty);
     options.strategy = PierStrategy::kIPes;
-    RealtimePipeline pipeline(options, &matcher, [](ProfileId, ProfileId) {});
+    ShardedPipeline pipeline(OneShard(options), &matcher,
+                             [](ProfileId, ProfileId) {});
     pipeline.EnableCheckpoints(dir.string(), /*every=*/1, /*keep=*/1);
     pipeline.Ingest({EntityProfile(0, 0, {{"n", "alpha beta"}}),
                      EntityProfile(1, 0, {{"n", "alpha beta"}})});
@@ -270,7 +280,8 @@ TEST(RealtimePipelineTest, IngestAfterFailedRestoreIsRejected) {
   // producing wrong verdicts from the half-restored state.
   PierOptions options = Options(DatasetKind::kDirty);
   options.strategy = PierStrategy::kIPcs;
-  RealtimePipeline poisoned(options, &matcher, [](ProfileId, ProfileId) {});
+  ShardedPipeline poisoned(OneShard(options), &matcher,
+                           [](ProfileId, ProfileId) {});
   {
     std::ifstream snapshot(*latest, std::ios::binary);
     std::string error;
@@ -286,7 +297,8 @@ TEST(RealtimePipelineTest, QueueDepthAndFreshnessMetrics) {
   const JaccardMatcher matcher(0.5);
   PierOptions options = Options(DatasetKind::kDirty);
   options.metrics = &registry;
-  RealtimePipeline pipeline(options, &matcher, [](ProfileId, ProfileId) {});
+  ShardedPipeline pipeline(OneShard(options), &matcher,
+                           [](ProfileId, ProfileId) {});
   pipeline.Ingest({EntityProfile(0, 0, {{"n", "dup token alpha"}}),
                    EntityProfile(1, 0, {{"n", "dup token alpha"}})});
   pipeline.Ingest({EntityProfile(2, 0, {{"n", "dup token alpha"}})});

@@ -1,7 +1,7 @@
 // Tests for the sharded worker/combiner ingest path: the routing
 // invariant (every block key owned by exactly one shard) must make the
 // delivered verdict set and the final clusters identical for every
-// shard count -- including the N = 1 case RealtimePipeline wraps --
+// shard count -- including the N = 1 realtime deployment --
 // and the bounded queues, multi-producer ingest, and checkpoint/resume
 // must hold up under concurrency (this binary runs under TSan in CI).
 

@@ -364,7 +364,7 @@ int main(int argc, char** argv) {
                    "--print-matches)\n");
       return Usage();
     }
-    // Closed-loop serving mode: the RealtimePipeline's worker thread
+    // Closed-loop serving mode: the ShardedPipeline's worker thread
     // matches and folds verdicts into the cluster index while this
     // thread interleaves ingest with ClusterOf() point queries -- the
     // production read path under genuine write concurrency.
