@@ -91,4 +91,12 @@ size_t ExecutedSet::ApproxMemoryBytes() const {
   return bytes;
 }
 
+size_t ExecutedSet::num_slices() const {
+  return std::visit([](const auto& s) { return s.num_slices(); }, keys_);
+}
+
+double ExecutedSet::FpEstimate() const {
+  return std::visit([](const auto& s) { return s.FpEstimate(); }, keys_);
+}
+
 }  // namespace pier

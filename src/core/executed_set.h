@@ -71,6 +71,14 @@ class ExecutedSet {
   // Heap footprint of the active representation plus the registry.
   size_t ApproxMemoryBytes() const;
 
+  // The filter's slice count and its modelled false-positive rate
+  // (ScalableFilter::FpEstimate): a bound on the chance that a pair
+  // never executed is reported executed and skipped. Both 0 for the
+  // exact set. Exported as the executed.slices and
+  // executed.fp_estimate gauges.
+  size_t num_slices() const;
+  double FpEstimate() const;
+
  private:
   // The exact representation, with the filters' interface.
   class ExactKeys {
@@ -83,6 +91,8 @@ class ExecutedSet {
     void Snapshot(std::ostream& out) const;
     bool Restore(std::istream& in);
     size_t ApproxMemoryBytes() const;
+    size_t num_slices() const { return 0; }
+    double FpEstimate() const { return 0.0; }
 
    private:
     std::unordered_set<uint64_t> keys_;

@@ -91,6 +91,8 @@ PierPipeline::PierPipeline(PierOptions options)
         r.GetGauge("persist.state_bytes.dictionary");
     metrics_.state_bytes_filter = r.GetGauge("persist.state_bytes.filter");
     metrics_.state_bytes_clusters = r.GetGauge("persist.state_bytes.clusters");
+    metrics_.executed_slices = r.GetGauge("executed.slices");
+    metrics_.executed_fp_estimate = r.GetGauge("executed.fp_estimate");
     adaptive_k_.AttachMetrics(&r);
     if (options_.track_clusters) clusters_.InstrumentWith(&r);
   }
@@ -356,6 +358,9 @@ void PierPipeline::Snapshot(persist::SnapshotBuilder& builder,
                 static_cast<double>(dictionary_.ApproxMemoryBytes()));
   obs::GaugeSet(metrics_.state_bytes_filter,
                 static_cast<double>(executed_.ApproxMemoryBytes()));
+  obs::GaugeSet(metrics_.executed_slices,
+                static_cast<double>(executed_.num_slices()));
+  obs::GaugeSet(metrics_.executed_fp_estimate, executed_.FpEstimate());
 }
 
 bool PierPipeline::Restore(const persist::SnapshotReader& reader,

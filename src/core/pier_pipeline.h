@@ -278,6 +278,10 @@ class PierPipeline {
     obs::Gauge* state_bytes_dictionary = nullptr;
     obs::Gauge* state_bytes_filter = nullptr;
     obs::Gauge* state_bytes_clusters = nullptr;
+    // `executed.*` gauges of the executed set, refreshed on every
+    // Snapshot.
+    obs::Gauge* executed_slices = nullptr;
+    obs::Gauge* executed_fp_estimate = nullptr;
   };
 
   PierOptions options_;

@@ -53,11 +53,14 @@ inline constexpr char kMagic[8] = {'P', 'I', 'E', 'R', 'S', 'N', 'A', 'P'};
 // online cluster index / cluster-recall state). Version 3: the sharded
 // ingest path (stream/sharded_pipeline.h) writes 'sharded.*' router
 // sections plus one 'shard<i>.*' family per shard engine, the
-// one-shard case included.
-// Only v3 is read: every restore requires its cluster section, and
-// the Bloom payloads of earlier files predate the layout sentinel.
-inline constexpr uint32_t kFormatVersion = 3;
-inline constexpr uint32_t kMinSupportedFormatVersion = 3;
+// one-shard case included. Version 4: Bloom filter slices address
+// their cells in 512-cell blocks from one shared hash pair and are
+// sized by the blocked false-positive model (util/bloom_filter.h), so
+// the same filter bytes mean different keys than in v3.
+// Only v4 is read: the filter payloads of earlier files cannot be
+// probed under the new addressing.
+inline constexpr uint32_t kFormatVersion = 4;
+inline constexpr uint32_t kMinSupportedFormatVersion = 4;
 
 // Accumulates named sections in memory, then serializes the complete
 // framed snapshot in one pass. Section names must be unique and are

@@ -1,5 +1,6 @@
 #include "stream/sharded_pipeline.h"
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 #include <sstream>
@@ -583,15 +584,20 @@ void ShardedPipeline::SnapshotLocked(persist::SnapshotBuilder& builder) const {
   for (size_t s = 0; s < shards_.size(); ++s) {
     shards_[s]->pipeline->Snapshot(builder, "shard" + std::to_string(s));
   }
-  // Each shard's Snapshot set the persist.state_bytes.* gauges to its
-  // own footprint alone; report the whole pipeline's instead: router
-  // state, every shard engine, and the combiner's set.
+  // Each shard's Snapshot set the persist.state_bytes.* and executed.*
+  // gauges to its own state alone; report the whole pipeline's
+  // instead: router state, every shard engine, and the combiner's set.
+  // executed.* covers the shards' sets -- their slices summed, the
+  // worst shard's false-positive estimate -- and executed.combiner.*
+  // the combiner's.
   if (metrics_ == nullptr) return;
   size_t profiles = profiles_.ApproxMemoryBytes();
   size_t blocks = 0;
   size_t dictionary = dictionary_.ApproxMemoryBytes();
   size_t executed = delivered_.ApproxMemoryBytes();
   size_t clusters = clusters_.ApproxMemoryBytes();
+  size_t executed_slices = 0;
+  double executed_fp = 0.0;
   for (const auto& shard : shards_) {
     const PierPipeline& engine = *shard->pipeline;
     profiles += engine.profiles().ApproxMemoryBytes();
@@ -599,6 +605,8 @@ void ShardedPipeline::SnapshotLocked(persist::SnapshotBuilder& builder) const {
     dictionary += engine.dictionary().ApproxMemoryBytes();
     executed += engine.executed().ApproxMemoryBytes();
     clusters += engine.clusters().ApproxMemoryBytes();
+    executed_slices += engine.executed().num_slices();
+    executed_fp = std::max(executed_fp, engine.executed().FpEstimate());
   }
   obs::MetricsRegistry& r = *metrics_;
   obs::GaugeSet(r.GetGauge("persist.state_bytes.profiles"),
@@ -611,6 +619,13 @@ void ShardedPipeline::SnapshotLocked(persist::SnapshotBuilder& builder) const {
                 static_cast<double>(executed));
   obs::GaugeSet(r.GetGauge("persist.state_bytes.clusters"),
                 static_cast<double>(clusters));
+  obs::GaugeSet(r.GetGauge("executed.slices"),
+                static_cast<double>(executed_slices));
+  obs::GaugeSet(r.GetGauge("executed.fp_estimate"), executed_fp);
+  obs::GaugeSet(r.GetGauge("executed.combiner.slices"),
+                static_cast<double>(delivered_.num_slices()));
+  obs::GaugeSet(r.GetGauge("executed.combiner.fp_estimate"),
+                delivered_.FpEstimate());
 }
 
 bool ShardedPipeline::RestoreFromSnapshot(std::istream& snapshot,

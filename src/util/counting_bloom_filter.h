@@ -9,97 +9,32 @@
 // re-ingested would have its comparisons suppressed forever and the
 // delete-then-replay oracle would diverge.
 //
-// Counter layout: 2 bits per cell (32 cells per uint64_t word), cell
-// count and hash count from the one sizing rule (SizeBloom in
-// bloom_filter.h) at a 64-cell floor. A counter that reaches 3 saturates
-// and becomes sticky: it is never decremented again, which preserves
-// the no-false-negatives guarantee for keys still present at the cost
-// of the filter slowly densifying under heavy churn (the fraction of
-// cells reaching 3 is small at design load). Removing a key that was
-// never added can clear cells shared with live keys — the standard
-// counting-filter caveat — so callers must pair each Remove with a
+// Counter layout: the 1-bit slices' blocked layout (bloom_filter.h)
+// with 2 bits per cell, so a 512-cell block spans two adjacent cache
+// lines (128 bytes) and a probe reads those two lines. Both slice
+// types get the same cell count and k from SizeBloom, so a counting
+// stack takes exactly twice the memory of a 1-bit stack over the same
+// keys.
+//
+// A counter that reaches 3 saturates and becomes sticky: it is never
+// decremented again, which preserves the no-false-negatives guarantee
+// for keys still present at the cost of the filter slowly densifying
+// under heavy churn (the fraction of cells reaching 3 is small at
+// design load). Removing a key that was
+// never added can clear cells shared with live keys -- the standard
+// counting-filter caveat -- so callers must pair each Remove with a
 // prior Add (the pipeline guarantees this via its executed-pair
 // registry).
 
 #ifndef PIER_UTIL_COUNTING_BLOOM_FILTER_H_
 #define PIER_UTIL_COUNTING_BLOOM_FILTER_H_
 
-#include <cstddef>
-#include <cstdint>
-#include <iosfwd>
-#include <memory>
-#include <optional>
-#include <vector>
-
 #include "util/bloom_filter.h"
 #include "util/scalable_bloom_filter.h"
 
 namespace pier {
 
-class CountingBloomFilter {
- public:
-  // Sizes the filter for `expected_items` insertions at false-positive
-  // probability `fp_rate` (see Sizing).
-  CountingBloomFilter(size_t expected_items, double fp_rate);
-
-  void Add(uint64_t key);
-
-  // Decrements the key's cells (skipping saturated ones). Returns
-  // false without touching any cell when the key is definitely absent.
-  bool Remove(uint64_t key);
-
-  bool MayContain(uint64_t key) const;
-
-  size_t num_insertions() const { return num_insertions_; }
-  size_t num_removals() const { return num_removals_; }
-  size_t expected_items() const { return expected_items_; }
-  // Capacity is gross insertions: removals do not reliably free cells
-  // (saturated counters stick), so reusing freed capacity would let
-  // the realized error rate drift above design.
-  bool AtCapacity() const { return num_insertions_ >= expected_items_; }
-
-  const BloomSizing& sizing() const { return sizing_; }
-
-  size_t MemoryBytes() const { return words_.size() * sizeof(uint64_t); }
-
-  void Snapshot(std::ostream& out) const;
-
-  // Null on decode failure or any field inconsistent with what the
-  // constructor would have produced.
-  static std::unique_ptr<CountingBloomFilter> FromSnapshot(std::istream& in);
-
-  // SizeBloom with a 64-cell floor, the sizing the constructor picks.
-  static std::optional<BloomSizing> Sizing(size_t expected_items,
-                                           double fp_rate);
-
-  // Hooks for the scalable stack (scalable_bloom_filter.h): no header
-  // of its own, and Remove.
-  static void WriteStackHeader(std::ostream&) {}
-  static bool ReadStackHeader(std::istream&) { return true; }
-  static constexpr bool kRemovable = true;
-
- private:
-  CountingBloomFilter() = default;  // for FromSnapshot
-
-  size_t CellIndex(uint64_t h1, uint64_t h2, int i) const {
-    return (h1 + static_cast<uint64_t>(i) * h2) % sizing_.cells;
-  }
-  uint32_t CellValue(size_t cell) const {
-    return static_cast<uint32_t>(words_[cell >> 5] >> ((cell & 31) * 2)) & 3u;
-  }
-  void SetCellValue(size_t cell, uint32_t value) {
-    const size_t shift = (cell & 31) * 2;
-    words_[cell >> 5] =
-        (words_[cell >> 5] & ~(uint64_t{3} << shift)) |
-        (static_cast<uint64_t>(value) << shift);
-  }
-
-  size_t expected_items_ = 0;
-  BloomSizing sizing_;
-  size_t num_insertions_ = 0;
-  size_t num_removals_ = 0;
-  std::vector<uint64_t> words_;
-};
+using CountingBloomFilter = BlockedBloomFilter<2>;
 
 // The growth schedule over counting slices: ScalableBloomFilter's
 // schedule and framing, plus Remove and a removal count.

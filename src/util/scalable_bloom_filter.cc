@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "util/check.h"
-#include "util/counting_bloom_filter.h"
 #include "util/serial.h"
 
 namespace pier {
@@ -55,24 +54,33 @@ void ScalableFilter<Slice>::AddSlice() {
 }
 
 template <typename Slice>
-void ScalableFilter<Slice>::Add(uint64_t key) {
+void ScalableFilter<Slice>::Add(const BloomHash& hash) {
   if (slices_.back()->AtCapacity()) AddSlice();
-  slices_.back()->Add(key);
+  slices_.back()->Add(hash);
   ++num_insertions_;
 }
 
 template <typename Slice>
-bool ScalableFilter<Slice>::MayContain(uint64_t key) const {
+void ScalableFilter<Slice>::Add(uint64_t key) { Add(BloomHash::Of(key)); }
+
+template <typename Slice>
+bool ScalableFilter<Slice>::MayContain(const BloomHash& hash) const {
   for (auto it = slices_.rbegin(); it != slices_.rend(); ++it) {
-    if ((*it)->MayContain(key)) return true;
+    if ((*it)->MayContain(hash)) return true;
   }
   return false;
 }
 
 template <typename Slice>
+bool ScalableFilter<Slice>::MayContain(uint64_t key) const {
+  return MayContain(BloomHash::Of(key));
+}
+
+template <typename Slice>
 bool ScalableFilter<Slice>::TestAndAdd(uint64_t key) {
-  if (MayContain(key)) return true;
-  Add(key);
+  const BloomHash hash = BloomHash::Of(key);
+  if (MayContain(hash)) return true;
+  Add(hash);
   return false;
 }
 
@@ -80,8 +88,9 @@ template <typename Slice>
 bool ScalableFilter<Slice>::Remove(uint64_t key)
   requires Slice::kRemovable
 {
+  const BloomHash hash = BloomHash::Of(key);
   for (auto it = slices_.rbegin(); it != slices_.rend(); ++it) {
-    if ((*it)->Remove(key)) {
+    if ((*it)->Remove(hash)) {
       ++num_removals_;
       return true;
     }
@@ -93,6 +102,13 @@ template <typename Slice>
 size_t ScalableFilter<Slice>::MemoryBytes() const {
   size_t total = 0;
   for (const auto& slice : slices_) total += slice->MemoryBytes();
+  return total;
+}
+
+template <typename Slice>
+double ScalableFilter<Slice>::FpEstimate() const {
+  double total = 0.0;
+  for (const auto& slice : slices_) total += slice->FpEstimate();
   return total;
 }
 
@@ -152,7 +168,7 @@ bool ScalableFilter<Slice>::Restore(std::istream& in) {
     size_t capacity = 0;
     double error = 0.0;
     if (!SliceDesign(options, i, &capacity, &error)) return false;
-    const std::optional<BloomSizing> sizing = Slice::Sizing(capacity, error);
+    const std::optional<BloomSizing> sizing = SizeBloom(capacity, error);
     if (!sizing || slice->expected_items() != capacity ||
         slice->sizing() != *sizing) {
       return false;
@@ -176,7 +192,7 @@ bool ScalableFilter<Slice>::Restore(std::istream& in) {
   return true;
 }
 
-template class ScalableFilter<BloomFilter>;
-template class ScalableFilter<CountingBloomFilter>;
+template class ScalableFilter<BlockedBloomFilter<1>>;
+template class ScalableFilter<BlockedBloomFilter<2>>;
 
 }  // namespace pier

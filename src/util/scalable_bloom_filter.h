@@ -4,17 +4,20 @@
 // stays bounded no matter how many keys are inserted.
 //
 // ScalableFilter is that growth schedule, written once over its slice
-// type; the engine instantiates it twice:
-//   * ScalableBloomFilter, over 1-bit blocked slices (bloom_filter.h):
-//     the comparison filter CF of I-PBS (Algorithm 3) and the
-//     executed-comparison set of append-only streams. On an unbounded
-//     stream the set of executed comparisons grows without limit, so
-//     an exact hash set would exhaust memory while this filter keeps a
-//     small, bounded-error footprint. One cache line per probe beats k
-//     scattered lines (see bloom_filter.h for the FP-rate trade).
+// type; the engine instantiates it twice, over the two cell widths of
+// the one blocked slice layout (bloom_filter.h):
+//   * ScalableBloomFilter, over 1-bit slices: the comparison filter CF
+//     of I-PBS (Algorithm 3) and the executed-comparison set of
+//     append-only streams. On an unbounded stream the set of executed
+//     comparisons grows without limit, so an exact hash set would
+//     exhaust memory while this filter keeps a small, bounded-error
+//     footprint.
 //   * ScalableCountingBloomFilter, over 2-bit counting slices
 //     (counting_bloom_filter.h), which adds Remove for mutable
 //     streams.
+// Every stack operation hashes its key once (BloomHash) and hands the
+// pair to each slice it visits, so a probe costs one block read per
+// slice.
 //
 // Wire format: the slice type's stack header (the 1-bit slices' zero
 // sentinel and layout byte; nothing for counting slices), the options,
@@ -35,8 +38,10 @@
 namespace pier {
 
 struct ScalableFilterOptions {
-  // Capacity of the first slice.
-  size_t initial_capacity = 4096;
+  // Capacity of the first slice: 62 KiB of 1-bit cells (125 KiB of
+  // counters) at the default error, so a small stream stays small
+  // while a stream of 10^7 keys needs 9 slices.
+  size_t initial_capacity = 32768;
   // Compound false-positive probability target.
   double fp_rate = 0.01;
   // Capacity growth factor between consecutive slices.
@@ -46,11 +51,12 @@ struct ScalableFilterOptions {
   double tightening = 0.9;
 };
 
-// `Slice` provides the constructor (expected_items, fp_rate), Add,
-// MayContain, AtCapacity, expected_items, num_insertions, sizing,
-// MemoryBytes, Snapshot, FromSnapshot, the static Sizing rule, the
-// WriteStackHeader / ReadStackHeader hooks and kRemovable (with Remove
-// when set).
+// `Slice` is a BlockedBloomFilter (bloom_filter.h): it provides the
+// constructor (expected_items, fp_rate) sized by SizeBloom, Add and
+// MayContain over a BloomHash, AtCapacity, expected_items,
+// num_insertions, sizing, MemoryBytes, FpEstimate, Snapshot,
+// FromSnapshot, the WriteStackHeader / ReadStackHeader hooks and
+// kRemovable (with Remove when set).
 template <typename Slice>
 class ScalableFilter {
  public:
@@ -92,6 +98,12 @@ class ScalableFilter {
   size_t num_removals() const { return num_removals_; }
   size_t MemoryBytes() const;
 
+  // The blocked model's false-positive rate of every slice at its
+  // gross insertion count, summed: a bound on the chance that a fresh
+  // key is reported present (removals are ignored, since saturated
+  // counters keep their cells set, so the estimate errs high).
+  double FpEstimate() const;
+
   // Heap footprint estimate: slice arrays plus the slice vector itself
   // (exported as a persist.state_bytes gauge).
   size_t ApproxMemoryBytes() const;
@@ -109,6 +121,8 @@ class ScalableFilter {
 
  private:
   void AddSlice();
+  void Add(const BloomHash& hash);
+  bool MayContain(const BloomHash& hash) const;
 
   Options options_;
   std::vector<std::unique_ptr<Slice>> slices_;

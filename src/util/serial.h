@@ -134,14 +134,14 @@ inline bool ReadString(std::istream& in, std::string* out) {
 
 // Vectors: u64 count followed by the elements, each written/read by
 // `fn` (fn(out, elem) / fn(in, &elem) -> bool).
-template <typename T, typename WriteFn>
-void WriteVec(std::ostream& out, const std::vector<T>& v, WriteFn fn) {
+template <typename T, typename Alloc, typename WriteFn>
+void WriteVec(std::ostream& out, const std::vector<T, Alloc>& v, WriteFn fn) {
   WriteU64(out, v.size());
   for (const T& x : v) fn(out, x);
 }
 
-template <typename T, typename ReadFn>
-bool ReadVec(std::istream& in, std::vector<T>* v, ReadFn fn) {
+template <typename T, typename Alloc, typename ReadFn>
+bool ReadVec(std::istream& in, std::vector<T, Alloc>* v, ReadFn fn) {
   uint64_t n = 0;
   if (!ReadU64(in, &n)) return false;
   v->clear();

@@ -191,8 +191,10 @@ std::string FrameWithVersion(
 }
 
 TEST(SnapshotTest, OutOfRangeVersionsRejected) {
+  // v3 files carry Bloom payloads addressed under the previous slice
+  // layout; they must fail on the version, not decode.
   for (const uint32_t version :
-       {persist::kMinSupportedFormatVersion - 1,
+       {uint32_t{3}, persist::kMinSupportedFormatVersion - 1,
         persist::kFormatVersion + 1}) {
     const std::string bytes = FrameWithVersion(version, {});
     std::istringstream in(bytes);

@@ -10,6 +10,7 @@
 #include "datagen/generators.h"
 #include "obs/metrics.h"
 #include "persist/snapshot.h"
+#include "util/scalable_bloom_filter.h"
 
 namespace pier {
 namespace {
@@ -252,6 +253,36 @@ TEST(PipelineTest, ExactFilterStateBytesGaugeGrowsWithExecutedPairs) {
   // The exact set holds one node per executed pair.
   EXPECT_GE(snapshot_filter_bytes(),
             empty + static_cast<double>(executed * sizeof(uint64_t)));
+}
+
+TEST(PipelineTest, ExecutedGaugesReportFilterSlicesAndFpEstimate) {
+  // executed.slices and executed.fp_estimate follow the executed set
+  // on every Snapshot: 0 and 0 while the Bloom filter is empty, then
+  // its slice count and a small positive modelled rate.
+  PierOptions options = SmallOptions(PierStrategy::kIPcs);
+  obs::MetricsRegistry registry;
+  options.metrics = &registry;
+  PierPipeline pipeline(options);
+  const obs::Gauge* slices = registry.GetGauge("executed.slices");
+  const obs::Gauge* fp_estimate = registry.GetGauge("executed.fp_estimate");
+  persist::SnapshotBuilder empty;
+  pipeline.Snapshot(empty);
+  EXPECT_EQ(slices->Value(), 1.0);
+  EXPECT_EQ(fp_estimate->Value(), 0.0);
+  std::vector<EntityProfile> profiles;
+  for (ProfileId id = 0; id < 40; ++id) {
+    profiles.push_back(Raw(id, 0, "shared title"));
+  }
+  pipeline.Ingest(std::move(profiles));
+  while (!pipeline.EmitBatch(64).empty()) {
+  }
+  persist::SnapshotBuilder full;
+  pipeline.Snapshot(full);
+  EXPECT_EQ(slices->Value(),
+            static_cast<double>(pipeline.executed().num_slices()));
+  EXPECT_EQ(fp_estimate->Value(), pipeline.executed().FpEstimate());
+  EXPECT_GT(fp_estimate->Value(), 0.0);
+  EXPECT_LT(fp_estimate->Value(), ScalableFilterOptions().fp_rate);
 }
 
 #endif  // PIER_OBS_DISABLED

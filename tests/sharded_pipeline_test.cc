@@ -695,6 +695,13 @@ TEST(ShardedPipelineTest, StateBytesGaugesCoverWholePipeline) {
               static_cast<double>(pipeline.profiles().ApproxMemoryBytes()));
     EXPECT_GE(registry.GetGauge("persist.state_bytes.clusters")->Value(),
               static_cast<double>(pipeline.clusters().ApproxMemoryBytes()));
+    // executed.*: both shards' Bloom sets (one slice each at this
+    // size) and, separately, the combiner's.
+    EXPECT_EQ(registry.GetGauge("executed.slices")->Value(), 2.0);
+    EXPECT_EQ(registry.GetGauge("executed.combiner.slices")->Value(), 1.0);
+    EXPECT_GT(registry.GetGauge("executed.fp_estimate")->Value(), 0.0);
+    EXPECT_GT(registry.GetGauge("executed.combiner.fp_estimate")->Value(),
+              0.0);
   }
   std::filesystem::remove_all(dir);
 }

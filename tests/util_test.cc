@@ -4,6 +4,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstdlib>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
@@ -270,20 +273,22 @@ TEST(BloomFilterTest, TracksCapacity) {
 TEST(BloomFilterTest, HashCountDerivedFromClampedBits) {
   // Regression: for tiny capacities m = ceil(-n ln p / ln^2 2) clamps
   // up to one 512-bit block, and k must follow the clamped bit count
-  // -- k = round(num_bits / n * ln 2) -- not the unclamped m. Deriving
-  // k from the pre-clamp m under-hashes the (larger) actual array and
-  // pushes the realized FP rate off-design. k is capped at the 255
-  // hashes a snapshot may record, which only binds at n = 1 (355).
+  // -- SizeBloom picks it from the four values below
+  // k_flat = round(num_bits / n * ln 2) -- not the unclamped m.
+  // Deriving k from the pre-clamp m under-hashes the (larger) actual
+  // array and pushes the realized FP rate off-design. k_flat is capped
+  // at the 255 hashes a snapshot may record, which only binds at n = 1
+  // (355).
   constexpr double kLn2 = 0.6931471805599453;
   for (size_t n = 1; n <= 8; ++n) {
     const BloomFilter filter(n, 0.01);
     EXPECT_EQ(filter.num_bits(), 512u);
     const double k = std::round(static_cast<double>(filter.num_bits()) /
                                 static_cast<double>(n) * kLn2);
-    const int expected = static_cast<int>(std::clamp(k, 1.0, 255.0));
-    EXPECT_EQ(filter.num_hashes(), expected) << "n=" << n;
+    const int k_flat = static_cast<int>(std::clamp(k, 1.0, 255.0));
+    EXPECT_LE(filter.num_hashes(), k_flat) << "n=" << n;
+    EXPECT_GE(filter.num_hashes(), k_flat - 4) << "n=" << n;
   }
-  EXPECT_EQ(BloomFilter(1, 0.01).num_hashes(), 255);
 }
 
 TEST(BloomFilterTest, SmallCapacityFalsePositiveRateNearDesign) {
@@ -349,26 +354,45 @@ TEST(ScalableBloomFilterTest, MemoryGrowsSubquadratically) {
   EXPECT_LT(filter.MemoryBytes(), 1u << 20);
 }
 
-TEST(ScalableCountingBloomFilterTest,
-     CompoundFalsePositiveRateAtOneMillionKeys) {
-  // pipelinedb's test_false_positives at stream scale: after 1M keys
-  // under default options the growth schedule has stacked eight
-  // counting slices, and the measured compound rate must stay within
-  // the configured fp_rate (measured: 0.0055 against 0.01). The 1-bit
-  // stack measures 0.0124 on the same run -- the blocked layout's FP
-  // penalty grows as slices tighten -- so it has no such assertion
-  // until that defect is fixed.
-  ScalableCountingBloomFilter filter;
-  constexpr uint64_t kKeys = 1000000;
-  for (uint64_t k = 0; k < kKeys; ++k) filter.Add(Mix64(k));
-  EXPECT_EQ(filter.num_slices(), 8u);
+// Keys for ScalableFilterTest.CompoundFalsePositiveRateBothStacks:
+// PIER_FP_TEST_KEYS when set (CI runs 10^7), else 10^6.
+uint64_t FpTestKeys() {
+  const char* keys = std::getenv("PIER_FP_TEST_KEYS");
+  return keys != nullptr ? std::strtoull(keys, nullptr, 10) : 1000000;
+}
+
+template <typename Filter>
+double MeasuredFpRate(const Filter& filter) {
+  constexpr uint64_t kProbes = 2000000;
   size_t false_positives = 0;
-  for (uint64_t k = 0; k < kKeys; ++k) {
+  for (uint64_t k = 0; k < kProbes; ++k) {
     if (filter.MayContain(Mix64(k + (1ULL << 40)))) ++false_positives;
   }
-  const double rate =
-      static_cast<double>(false_positives) / static_cast<double>(kKeys);
-  EXPECT_LE(rate, ScalableFilterOptions().fp_rate);
+  return static_cast<double>(false_positives) / static_cast<double>(kProbes);
+}
+
+TEST(ScalableFilterTest, CompoundFalsePositiveRateBothStacks) {
+  // pipelinedb's test_false_positives at stream scale: under default
+  // options, 2M probes of keys never inserted must hit at most the
+  // configured compound fp_rate, in both stacks (measured at 10^6 /
+  // 10^7 keys: 0.0037 / 0.0054). Both slice types share one sizing
+  // rule, so the counting stack takes exactly twice the 1-bit stack's
+  // memory.
+  const uint64_t keys = FpTestKeys();
+  ScalableBloomFilter bits;
+  ScalableCountingBloomFilter counting;
+  for (uint64_t k = 0; k < keys; ++k) {
+    bits.Add(Mix64(k));
+    counting.Add(Mix64(k));
+  }
+  EXPECT_EQ(counting.num_slices(), bits.num_slices());
+  EXPECT_EQ(counting.MemoryBytes(), 2 * bits.MemoryBytes());
+  const double limit = ScalableFilterOptions().fp_rate;
+  EXPECT_LE(MeasuredFpRate(bits), limit) << keys << " keys";
+  EXPECT_LE(MeasuredFpRate(counting), limit) << keys << " keys";
+  // The modelled estimate the executed.fp_estimate gauge reports
+  // stays within the configured rate too.
+  EXPECT_LE(bits.FpEstimate(), limit);
 }
 
 TEST(BloomFilterTest, BlockedLayoutNoFalseNegatives) {
@@ -428,9 +452,10 @@ TEST(BloomFilterTest, SnapshotWithoutSentinelRejected) {
   std::istringstream filter_in(unsentineled_filter);
   EXPECT_EQ(BloomFilter::FromSnapshot(filter_in), nullptr);
 
-  // Every layout byte but 2 is rejected: 0 (the removed modulo
-  // layout), 1 (the removed flat layout) and 3.
-  for (const char layout : {'\0', '\1', '\3'}) {
+  // Every layout byte but 3 is rejected: 0 (the removed modulo
+  // layout), 1 (the removed flat layout), 2 (the blocked layout before
+  // the shared hash pair and model-based sizing) and 4.
+  for (const char layout : {'\0', '\1', '\2', '\4'}) {
     std::string bytes = filter_out.str();
     bytes[8] = layout;
     std::istringstream in(bytes);
@@ -440,7 +465,7 @@ TEST(BloomFilterTest, SnapshotWithoutSentinelRejected) {
 
 TEST(ScalableBloomFilterTest, SnapshotWithoutSentinelRejected) {
   // Same framing as BloomFilter: a zero u64 sentinel, then a layout
-  // byte, and every layout byte but 2 is rejected.
+  // byte, and every layout byte but 3 is rejected.
   ScalableBloomFilter scalable;
   for (uint64_t k = 0; k < 200; ++k) scalable.Add(Mix64(k));
   std::ostringstream scalable_out;
@@ -454,7 +479,7 @@ TEST(ScalableBloomFilterTest, SnapshotWithoutSentinelRejected) {
   std::istringstream scalable_in(unsentineled_scalable);
   EXPECT_FALSE(restored.Restore(scalable_in));
 
-  for (const char layout : {'\0', '\1', '\3'}) {
+  for (const char layout : {'\0', '\1', '\2', '\4'}) {
     std::string scalable_bytes = scalable_out.str();
     scalable_bytes[8] = layout;
     std::istringstream scalable_layout_in(scalable_bytes);
@@ -465,21 +490,115 @@ TEST(ScalableBloomFilterTest, SnapshotWithoutSentinelRejected) {
 
 TEST(ScalableBloomFilterTest, BlockedDefaultGrowsAndRoundTrips) {
   ScalableBloomFilter filter;  // default options
-  for (uint64_t k = 0; k < 20000; ++k) filter.Add(Mix64(k));
-  EXPECT_GT(filter.num_slices(), 1u);
-  for (uint64_t k = 0; k < 20000; ++k) EXPECT_TRUE(filter.MayContain(Mix64(k)));
+  // Past the default first slice (32768 keys) into the third slice.
+  constexpr uint64_t kKeys = 120000;
+  for (uint64_t k = 0; k < kKeys; ++k) filter.Add(Mix64(k));
+  EXPECT_EQ(filter.num_slices(), 3u);
+  for (uint64_t k = 0; k < kKeys; ++k) EXPECT_TRUE(filter.MayContain(Mix64(k)));
 
   std::ostringstream out;
   filter.Snapshot(out);
   ScalableBloomFilter restored;
   std::istringstream in(out.str());
   ASSERT_TRUE(restored.Restore(in));
-  for (uint64_t k = 0; k < 20000; ++k) {
+  for (uint64_t k = 0; k < kKeys; ++k) {
     EXPECT_TRUE(restored.MayContain(Mix64(k)));
   }
   std::ostringstream again;
   restored.Snapshot(again);
   EXPECT_EQ(again.str(), out.str());
+}
+
+std::string FromHex(const std::string& hex) {
+  std::string bytes;
+  for (size_t i = 0; i + 1 < hex.size(); i += 2) {
+    const int byte = std::stoi(hex.substr(i, 2), nullptr, 16);
+    bytes.push_back(static_cast<char>(byte));
+  }
+  return bytes;
+}
+
+TEST(ScalableFilterTest, RestoreRejectsPreviousFormatPayloads) {
+  // Payloads written by the previous slice layout (layout byte 2;
+  // cells addressed from per-slice hashes and sized by the flat
+  // formula), with initial_capacity = 16, keys Mix64(0..11) and, for
+  // the counting stack, one Remove. Their bits mean other keys under
+  // the current addressing, so Restore must refuse them rather than
+  // misread them.
+  const std::string bloom = FromHex(
+      "00000000000000000210000000000000007b14ae47e17a843f00000000000000"
+      "40cdccccccccccec3f0c00000000000000010000000000000000000000000000"
+      "000210000000000000000002000000000000160000000c000000000000000800"
+      "00000000000083109030000801009b080204c021a18409061021100080a4a20a"
+      "0160600004012020001400c10000020a0a02000200110001060a089462800824"
+      "026201000000");
+  const std::string counting = FromHex(
+      "10000000000000007b14ae47e17a843f0000000000000040cdccccccccccec3f"
+      "0c00000000000000010000000000000001000000000000001000000000000000"
+      "e7000000000000000a0000000c00000000000000010000000000000008000000"
+      "000000001014101800854420010054104155008015505411400e04410081841c"
+      "5014004d105c001040101544040050400005d020050444401440011001200000"
+      "00000000");
+  ASSERT_EQ(bloom.size(), 166u);
+  ASSERT_EQ(counting.size(), 164u);
+  ScalableBloomFilter bloom_target;
+  std::istringstream bloom_in(bloom);
+  EXPECT_FALSE(bloom_target.Restore(bloom_in));
+  ScalableCountingBloomFilter counting_target;
+  std::istringstream counting_in(counting);
+  EXPECT_FALSE(counting_target.Restore(counting_in));
+}
+
+TEST(BloomFilterTest, ProbedBlocksAreCacheLineAligned) {
+  // A probe reads one 64-byte line (1-bit cells) or two adjacent lines
+  // (2-bit cells) only if its block starts on a line: the cell arrays
+  // are allocated on 128-byte boundaries, also after FromSnapshot.
+  const auto check = [](const auto& filter) {
+    for (uint64_t k = 0; k < 1000; ++k) {
+      const auto address =
+          reinterpret_cast<uintptr_t>(filter.BlockOf(BloomHash::Of(k)));
+      ASSERT_EQ(address % 64, 0u) << k;
+    }
+  };
+  for (const size_t n : {size_t{1}, size_t{100}, size_t{40000}}) {
+    BloomFilter bits(n, 0.001);
+    CountingBloomFilter counting(n, 0.001);
+    check(bits);
+    check(counting);
+    std::ostringstream bits_out;
+    std::ostringstream counting_out;
+    bits.Snapshot(bits_out);
+    counting.Snapshot(counting_out);
+    std::istringstream bits_in(bits_out.str());
+    std::istringstream counting_in(counting_out.str());
+    const auto bits_restored = BloomFilter::FromSnapshot(bits_in);
+    const auto counting_restored =
+        CountingBloomFilter::FromSnapshot(counting_in);
+    ASSERT_NE(bits_restored, nullptr);
+    ASSERT_NE(counting_restored, nullptr);
+    check(*bits_restored);
+    check(*counting_restored);
+  }
+}
+
+TEST(BloomFilterTest, SizingMeetsBlockedModel) {
+  // SizeBloom returns whole blocks whose modelled rate meets the
+  // target, never fewer cells than the flat formula.
+  for (const size_t n : {size_t{100}, size_t{32768}, size_t{1000000}}) {
+    for (const double p : {0.01, 0.001, 0.0002}) {
+      const std::optional<BloomSizing> sizing = SizeBloom(n, p);
+      ASSERT_TRUE(sizing.has_value());
+      EXPECT_EQ(sizing->cells % kBloomBlockCells, 0u);
+      EXPECT_LE(BlockedBloomFpRate(static_cast<double>(n), sizing->cells,
+                                   sizing->hashes),
+                p);
+      const double flat_cells =
+          -static_cast<double>(n) * std::log(p) / std::pow(std::log(2.0), 2);
+      EXPECT_GE(static_cast<double>(sizing->cells), flat_cells);
+    }
+  }
+  EXPECT_FALSE(SizeBloom(0, 0.01).has_value());
+  EXPECT_FALSE(SizeBloom(10, 1.0).has_value());
 }
 
 TEST(ScalableBloomFilterTest, SingleKeyFirstSliceRestoresItsOwnSnapshot) {
